@@ -20,7 +20,7 @@ import tempfile
 
 import numpy as np
 
-from . import dyadic, elliptic, extensions, kernels, mercer
+from . import dyadic, elliptic, extensions, kernels, mercer, rkhs
 
 FMT = "%.17g"
 
@@ -125,11 +125,11 @@ def cmd_extend(args) -> int:
 
 def cmd_mercer(args) -> int:
     kernel = kernels.kernel_from_name(args.kernel)
+    spec = elliptic.spec_for_kernel(kernel)
     dec = mercer.discretize(kernel, mercer.NystromConfig(args.nodes))
     a = kernel.half_width
     if abs(dec.trace() - a) > 1e-9:
         raise RuntimeError(f"trace {dec.trace()!r} deviates from {a}")
-    spec = elliptic.spec_for_kernel(kernel)
     report = elliptic.verify_against_mercer(spec, dec, args.n)
     roots = elliptic.solve_transcendental(spec, max(2 * args.n + 8, 16))
     by_mapped = sorted(zip(spec.mercer_map(roots), roots), reverse=True)
@@ -150,10 +150,7 @@ def cmd_mercer(args) -> int:
     if args.curves:
         ks = np.linspace(spec.k_min + 1e-3, 40.0, 4001)
         with np.errstate(over="ignore", invalid="ignore"):
-            if spec.tag == "ExpBVP":
-                c1, c2 = np.tan(ks), 2 * ks / (ks ** 2 - 1.0)
-            else:
-                c1, c2 = np.tan(ks / 4.0), 4.0 / (3.0 * ks)
+            c1, c2 = spec.curves(ks)
         ca = argparse.Namespace(format=args.format, out=args.curves)
         _emit(list(zip(ks, c1, c2)), ["k", "curve_lhs", "curve_rhs"], ca)
     return 0
@@ -166,11 +163,8 @@ def cmd_onb(args) -> int:
     if args.functions:
         elements = dyadic.build_onb(kernel, min(args.depth, 3))[:5]
         xs = np.linspace(0.0, kernel.half_width, 201)
-        frows = []
-        for x in xs:
-            vals = [sum(w * float(kernel(x - c)) for w, c in el.combo.coeffs).real
-                    for el in elements]
-            frows.append((x, *vals))
+        vals = rkhs.combo_eval([el.combo for el in elements], kernel, xs).real
+        frows = [(x, *v) for x, v in zip(xs, vals)]
         ca = argparse.Namespace(format=args.format, out=args.functions)
         _emit(frows, ["x"] + [el.index.label for el in elements], ca)
     return 0

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import DomainError, PdKernel
-from .rkhs import KernelCombo, inner_product_combo
+from .rkhs import KernelCombo, combo_eval, combo_gram
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,7 @@ def build_onb(kernel: PdKernel, depth: int) -> list[OnbElement]:
 
 def onb_gram(elements: Sequence[OnbElement], kernel: PdKernel) -> np.ndarray:
     """Gram matrix of ONB elements by exact kernel arithmetic."""
-    m = len(elements)
-    G = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            v = inner_product_combo(elements[i].combo, elements[j].combo, kernel)
-            G[i, j] = v
-            G[j, i] = np.conj(v)
-    return G
+    return combo_gram([el.combo for el in elements], kernel)
 
 
 @dataclass(frozen=True)
@@ -167,14 +160,10 @@ def parseval_norm(coeffs: ExpansionCoefficients) -> float:
 def reconstruct_at(coeffs: ExpansionCoefficients, elements: Sequence[OnbElement],
                    kernel: PdKernel, x: float) -> complex:
     """Evaluate sum c h(x) for the built ONB (diagnostic use)."""
-    flat = [coeffs.c0, coeffs.c1]
-    for arr in coeffs.levels:
-        flat.extend(arr.tolist())
-    total = 0.0 + 0.0j
-    for c, el in zip(flat, elements):
-        val = sum(w * complex(kernel(x - xc)) for w, xc in el.combo.coeffs)
-        total += c * val
-    return complex(total)
+    flat = np.concatenate([[coeffs.c0, coeffs.c1], *coeffs.levels])
+    m = min(len(flat), len(elements))
+    vals = combo_eval([el.combo for el in elements[:m]], kernel, x)[0]
+    return complex(flat[:m] @ vals)
 
 
 @dataclass(frozen=True)
@@ -254,13 +243,6 @@ def norm_table(kernel: PdKernel, depth: int) -> list[tuple[str, float]]:
     return rows
 
 
-def generic_norm_formula(kernel: PdKernel, n: int) -> float:
-    """(1 + F(a/2^{n-1}) - 2 F(a/2^n)^2) / (1 + F(a/2^{n-1})) for n >= 1;
-    1 - F(a)^2 for the second seed."""
-    a = kernel.half_width
-    if n == 0:
-        Fa = float(kernel(a))
-        return 1.0 - Fa * Fa
-    Fd = float(kernel(a / 2 ** n))
-    F2d = float(kernel(a / 2 ** (n - 1)))
-    return (1.0 + F2d - 2.0 * Fd * Fd) / (1.0 + F2d)
+# (1 + F(a/2^{n-1}) - 2 F(a/2^n)^2) / (1 + F(a/2^{n-1})) for n >= 1,
+# 1 - F(a)^2 (the second seed) for n = 0
+generic_norm_formula = level_norm_sq

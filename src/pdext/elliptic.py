@@ -23,60 +23,18 @@ operator with kernel-determined boundary conditions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import DomainError, PdKernel, bspline_autoconvolution
+# the kernel structure lives in kernels; re-exported here for its users
+from .kernels import (DomainError, EllipticDescriptor, PdKernel,  # noqa: F401
+                      TranscendentalSpec, bspline_autoconvolution,
+                      descriptor_for_kernel, exp_bvp_spec, spec_for_kernel,
+                      triangle_bvp_spec)
 from .mercer import MercerDecomposition
 from .quadrature import panel_nodes, simpson
-
-
-@dataclass(frozen=True)
-class TranscendentalSpec:
-    """A transcendental eigenvalue problem: residual whose positive roots k
-    map to Mercer eigenvalues via mercer_map."""
-
-    tag: str
-    residual: Callable[[np.ndarray], np.ndarray]
-    mercer_map: Callable[[np.ndarray], np.ndarray]
-    k_min: float
-    interval_length: float    # the trace target a
-
-    def normalized_residual(self, k):
-        return self.residual(k) / (1.0 + np.asarray(k, dtype=float) ** 2)
-
-
-def exp_bvp_spec() -> TranscendentalSpec:
-    """tan k = 2k/(k^2-1), cleared of tan poles: (k^2-1) sin k - 2k cos k."""
-    return TranscendentalSpec(
-        tag="ExpBVP",
-        residual=lambda k: (np.asarray(k) ** 2 - 1.0) * np.sin(k) - 2.0 * np.asarray(k) * np.cos(k),
-        mercer_map=lambda k: 2.0 / (1.0 + np.asarray(k) ** 2),
-        k_min=1.0,
-        interval_length=1.0,
-    )
-
-
-def triangle_bvp_spec() -> TranscendentalSpec:
-    """Full boundary determinant 4(1 + cos(k/2)) - 3k sin(k/2)."""
-    return TranscendentalSpec(
-        tag="TriangleBVP",
-        residual=lambda k: 4.0 * (1.0 + np.cos(np.asarray(k) / 2.0))
-        - 3.0 * np.asarray(k) * np.sin(np.asarray(k) / 2.0),
-        mercer_map=lambda k: 2.0 / np.asarray(k) ** 2,
-        k_min=1e-6,
-        interval_length=0.5,
-    )
-
-
-def spec_for_kernel(kernel: PdKernel) -> TranscendentalSpec:
-    if kernel.family == "exp":
-        return exp_bvp_spec()
-    if kernel.family in ("triangle", "bsplinex:2"):
-        return triangle_bvp_spec()
-    raise DomainError(f"no transcendental spectrum for kernel '{kernel.family}'")
 
 
 def solve_transcendental(spec: TranscendentalSpec, count: int,
@@ -181,8 +139,14 @@ class DeltaCheckRow:
 
 def distributional_derivative_check(kernel: PdKernel, test_functions,
                                     n_panels: int = 600, gl_order: int = 8):
-    """Verify int F psi'' dx = -2 psi(0) (triangle) or int F psi dx - 2 psi(0)
-    (exp) for smooth psi compactly supported in (-a, a)."""
+    """Verify the delta identity of the descriptor P(xi) = c0 + c2 xi^2,
+    c0 T_F - c2 (T_F)'' = delta_0 in distributions:
+
+        int F psi'' dx = (c0 int F psi dx - psi(0)) / c2
+
+    (triangle: -2 psi(0); exp: int F psi - 2 psi(0)) for smooth psi compactly
+    supported in (-a, a).  Kernels without a descriptor raise DomainError."""
+    c0, _, c2 = descriptor_for_kernel(kernel).poly_coeffs
     a = kernel.half_width
     rows = []
     for psi, dpsi, d2psi, center, width in test_functions:
@@ -192,12 +156,7 @@ def distributional_derivative_check(kernel: PdKernel, test_functions,
         lhs = float(np.sum(w[neg] * kernel(x[neg]) * d2psi(x[neg])) +
                     np.sum(w[~neg] * kernel(x[~neg]) * d2psi(x[~neg])))
         psi0 = float(psi(np.array([0.0]))[0])
-        if kernel.family in ("triangle", "bsplinex:2"):
-            rhs = -2.0 * psi0
-        elif kernel.family == "exp":
-            rhs = float(np.sum(w * kernel(x) * psi(x))) - 2.0 * psi0
-        else:
-            raise DomainError(f"no delta identity recorded for '{kernel.family}'")
+        rhs = (c0 * float(np.sum(w * kernel(x) * psi(x))) - psi0) / c2
         rows.append(DeltaCheckRow(center, width, lhs, rhs, abs(lhs - rhs)))
     return rows
 
@@ -235,38 +194,6 @@ def standard_bumps(kernel: PdKernel, seed: int = 0, count: int = 10):
 # ---------------------------------------------------------------------------
 # ellipticity and the B-spline operator bound
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EllipticDescriptor:
-    """P(xi) >= 0 with T_F^{-1} extending P(-i d/dx); boundary conditions as
-    linear functionals on (h(0), h'(0), h(a), h'(a))."""
-
-    poly_coeffs: tuple[float, ...]          # P(xi) = sum c_j xi^j
-    boundary_rows: tuple[tuple[float, float, float, float], ...]
-
-    def poly(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros_like(xi)
-        for j, c in enumerate(self.poly_coeffs):
-            out += c * xi ** j
-        return out
-
-    def is_nonnegative(self, xi_max: float = 50.0, n: int = 2001) -> bool:
-        xi = np.linspace(-xi_max, xi_max, n)
-        return bool(np.min(self.poly(xi)) >= -1e-12)
-
-
-def descriptor_for_kernel(kernel: PdKernel) -> EllipticDescriptor:
-    if kernel.family == "exp":
-        # (1/2)(1 + xi^2); h(0)-h'(0)=0, h(1)+h'(1)=0
-        return EllipticDescriptor((0.5, 0.0, 0.5),
-                                  ((1.0, -1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 1.0)))
-    if kernel.family in ("triangle", "bsplinex:2"):
-        # (1/2) xi^2; h'(0)+h'(a)=0, h(0)+h(a)-(3/2)h'(0)=0
-        return EllipticDescriptor((0.0, 0.0, 0.5),
-                                  ((0.0, 1.0, 0.0, 1.0), (1.0, -1.5, 1.0, 0.0)))
-    raise DomainError(f"no elliptic descriptor for kernel '{kernel.family}'")
-
 
 @dataclass(frozen=True)
 class EllipticityReport:

@@ -330,9 +330,7 @@ class TypeTwoExtension:
         lam = np.asarray(lam, dtype=float)
         if self.r > 0:
             return _gr_hat(lam, self.r) / (2.0 * np.pi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sinc_part = np.where(np.abs(lam) < 1e-8, 1.0 - lam * lam / 6.0,
-                                 np.sin(lam) / np.where(lam == 0, 1.0, lam))
+        sinc_part = np.sinc(lam / np.pi)
         val = (2.0 / (1.0 + lam ** 2)
                + (2.0 / _E) * (-np.cos(lam) / (1.0 + lam ** 2)
                                + lam * np.sin(lam) / (1.0 + lam ** 2)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicHermiteSpline
 
-from .quadrature import integrate, kernel_apply_on_grid, simpson
+from .quadrature import exp_kernel_apply, integrate, kernel_apply_on_grid, simpson
 
 EPS_PSD = 1e-9
 
@@ -48,17 +48,6 @@ def _quiet_quad(f, a, b, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         return quad(f, a, b, **kw)[0]
-
-
-def _sinc(x):
-    """sin(pi x)/(pi x) with series evaluation near the removable singularity."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-4 / np.pi
-    z = np.pi * x[small]
-    out[small] = 1.0 - z * z / 6.0 * (1.0 - z * z / 20.0)
-    out[~small] = np.sin(np.pi * x[~small]) / (np.pi * x[~small])
-    return out
 
 
 def bspline_autoconvolution(k: int, u) -> np.ndarray:
@@ -393,6 +382,83 @@ class MeasureOnInterval:
 
 
 # ---------------------------------------------------------------------------
+# kernel structure: T_F^{-1} as an elliptic operator and its spectrum
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TranscendentalSpec:
+    """A transcendental eigenvalue problem: residual whose positive roots k
+    map to Mercer eigenvalues via mercer_map; ``curves(k)`` samples the two
+    curves whose intersections locate the roots."""
+
+    residual: Callable[[np.ndarray], np.ndarray]
+    mercer_map: Callable[[np.ndarray], np.ndarray]
+    curves: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    k_min: float
+    interval_length: float    # the trace target a
+
+    def normalized_residual(self, k):
+        return self.residual(k) / (1.0 + np.asarray(k, dtype=float) ** 2)
+
+
+def exp_bvp_spec() -> TranscendentalSpec:
+    """tan k = 2k/(k^2-1), cleared of tan poles: (k^2-1) sin k - 2k cos k."""
+    return TranscendentalSpec(
+        residual=lambda k: (np.asarray(k) ** 2 - 1.0) * np.sin(k) - 2.0 * np.asarray(k) * np.cos(k),
+        mercer_map=lambda k: 2.0 / (1.0 + np.asarray(k) ** 2),
+        curves=lambda k: (np.tan(k), 2 * k / (k ** 2 - 1.0)),
+        k_min=1.0,
+        interval_length=1.0,
+    )
+
+
+def triangle_bvp_spec() -> TranscendentalSpec:
+    """Full boundary determinant 4(1 + cos(k/2)) - 3k sin(k/2); the curves
+    are those of its factor tan(k/4) = 4/(3k)."""
+    return TranscendentalSpec(
+        residual=lambda k: 4.0 * (1.0 + np.cos(np.asarray(k) / 2.0))
+        - 3.0 * np.asarray(k) * np.sin(np.asarray(k) / 2.0),
+        mercer_map=lambda k: 2.0 / np.asarray(k) ** 2,
+        curves=lambda k: (np.tan(k / 4.0), 4.0 / (3.0 * k)),
+        k_min=1e-6,
+        interval_length=0.5,
+    )
+
+
+@dataclass(frozen=True)
+class EllipticDescriptor:
+    """P(xi) >= 0 with T_F^{-1} extending P(-i d/dx); boundary conditions as
+    linear functionals on (h(0), h'(0), h(a), h'(a))."""
+
+    poly_coeffs: tuple[float, ...]          # P(xi) = sum c_j xi^j
+    boundary_rows: tuple[tuple[float, float, float, float], ...]
+
+    def poly(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        out = np.zeros_like(xi)
+        for j, c in enumerate(self.poly_coeffs):
+            out += c * xi ** j
+        return out
+
+    def is_nonnegative(self, xi_max: float = 50.0, n: int = 2001) -> bool:
+        xi = np.linspace(-xi_max, xi_max, n)
+        return bool(np.min(self.poly(xi)) >= -1e-12)
+
+    def boundary_residuals(self, h0, dh0, ha, dha) -> tuple[float, ...]:
+        """|row . (h(0), h'(0), h(a), h'(a))| for each boundary row."""
+        return tuple(float(abs(r0 * h0 + r1 * dh0 + r2 * ha + r3 * dha))
+                     for r0, r1, r2, r3 in self.boundary_rows)
+
+
+# (1/2)(1 + xi^2); h(0)-h'(0)=0, h(1)+h'(1)=0
+EXP_DESCRIPTOR = EllipticDescriptor(
+    (0.5, 0.0, 0.5), ((1.0, -1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 1.0)))
+# (1/2) xi^2 on (0, 1/2); h'(0)+h'(a)=0, h(0)+h(a)-(3/2)h'(0)=0
+TRIANGLE_DESCRIPTOR = EllipticDescriptor(
+    (0.0, 0.0, 0.5), ((0.0, 1.0, 0.0, 1.0), (1.0, -1.5, 1.0, 0.0)))
+
+
+# ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
 
@@ -402,6 +468,12 @@ class PdKernel:
 
     ``evaluate``/``derivative`` are vectorized on [-a, a]; the derivative is
     two-sided away from 0 with the one-sided limits at 0 recorded separately.
+
+    The built-in factories attach the structure their kernel has:
+    ``fast_apply(grid, g, m)`` returns (T_F g, (T_F g)') on the grid in
+    O(n m); ``descriptor`` is the elliptic operator T_F^{-1} extends;
+    ``spectrum`` is the transcendental equation of the Mercer eigenvalues.
+    Consumers take a dense path or raise DomainError when one is None.
     """
 
     family: str
@@ -411,6 +483,9 @@ class PdKernel:
     value_at_zero: float = 1.0
     deriv_at_zero: tuple[float, float] = (0.0, 0.0)   # (left, right) limits
     measure: Optional[SpectralMeasure] = None
+    fast_apply: Optional[Callable] = None
+    descriptor: Optional[EllipticDescriptor] = None
+    spectrum: Optional[TranscendentalSpec] = None
 
     def _check_domain(self, x):
         if np.any(np.abs(x) > self.half_width * (1 + 1e-12)):
@@ -446,12 +521,15 @@ def exp_kernel() -> PdKernel:
         derivative=lambda x: -np.sign(x) * np.exp(-np.abs(x)),
         deriv_at_zero=(1.0, -1.0),
         measure=_cauchy_measure(),
+        fast_apply=exp_kernel_apply,
+        descriptor=EXP_DESCRIPTOR,
+        spectrum=exp_bvp_spec(),
     )
 
 
 def _triangle_density(l):
     l = np.asarray(l, dtype=float)
-    return _sinc(l / (2.0 * np.pi)) ** 2 / (2.0 * np.pi)
+    return np.sinc(l / (2.0 * np.pi)) ** 2 / (2.0 * np.pi)
 
 
 def triangle_kernel() -> PdKernel:
@@ -467,6 +545,8 @@ def triangle_kernel() -> PdKernel:
         derivative=lambda x: -np.sign(x) * np.ones_like(np.asarray(x, dtype=float)),
         deriv_at_zero=(1.0, -1.0),
         measure=meas,
+        descriptor=TRIANGLE_DESCRIPTOR,
+        spectrum=triangle_bvp_spec(),
     )
 
 
@@ -481,11 +561,11 @@ def bspline_kernel(k: int, half_width: float = 1.0) -> PdKernel:
     meas = SpectralMeasure(grid, dens(grid), tail=TailDescriptor.none())
 
     def ev(x):
-        return _sinc(x) ** k
+        return np.sinc(x) ** k
 
     def dv(x):
         x = np.asarray(x, dtype=float)
-        s = _sinc(x)
+        s = np.sinc(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             ds = np.where(np.abs(x) < 1e-8, -np.pi ** 2 * x / 3.0,
                           (np.cos(np.pi * x) - s) / np.where(x == 0, 1.0, x))
@@ -498,12 +578,14 @@ def bspline_kernel(k: int, half_width: float = 1.0) -> PdKernel:
 
 def bspline_x_kernel(k: int, half_width: float = 0.5) -> PdKernel:
     """Normalized x-space B-spline B^{*k}(x)/B^{*k}(0) restricted to (-a, a);
-    k = 2 is the triangle.  Frequency density ~ sinc^k with tail exponent k."""
+    k = 2 is the triangle.  Frequency density ~ sinc^k with tail exponent k.
+    Only k = 2 with a = 1/2 carries the triangle's descriptor and spectrum:
+    its boundary rows and root equation hold for a = 1/2 alone."""
     if k < 1:
         raise DomainError("k must be >= 1")
     b0 = float(bspline_autoconvolution(k, 0.0))
     scale = 1.0 / (2.0 * np.pi * b0)
-    dens = lambda l: scale * _sinc(np.asarray(l) / (2.0 * np.pi)) ** k
+    dens = lambda l: scale * np.sinc(np.asarray(l) / (2.0 * np.pi)) ** k
     # density(l) = scale (sin(l/2)/(l/2))^k ~ scale * mean(sin^k) * (2/l)^k
     mean_sink = math.comb(k, k // 2) / 2.0 ** k
     coeff = scale * mean_sink * 2.0 ** k
@@ -522,9 +604,12 @@ def bspline_x_kernel(k: int, half_width: float = 0.5) -> PdKernel:
         return (bspline_autoconvolution(k, x + h) - bspline_autoconvolution(k, x - h)) / (2 * h * b0)
 
     dplus = float(dv(np.array([1e-7]))[0])
+    triangle = k == 2 and half_width == 0.5
     return PdKernel(family=f"bsplinex:{k}", half_width=half_width,
                     evaluate=ev, derivative=dv, deriv_at_zero=(-dplus, dplus),
-                    measure=meas)
+                    measure=meas,
+                    descriptor=TRIANGLE_DESCRIPTOR if triangle else None,
+                    spectrum=triangle_bvp_spec() if triangle else None)
 
 
 def tabulated_kernel(x: Sequence[float], F: Sequence[float],
@@ -580,6 +665,18 @@ def kernel_from_name(name: str) -> PdKernel:
     if name.startswith("table:"):
         return tabulated_kernel_from_csv(name.split(":", 1)[1])
     raise DomainError(f"unknown kernel family '{name}'")
+
+
+def spec_for_kernel(kernel: PdKernel) -> TranscendentalSpec:
+    if kernel.spectrum is None:
+        raise DomainError(f"no transcendental spectrum for kernel '{kernel.family}'")
+    return kernel.spectrum
+
+
+def descriptor_for_kernel(kernel: PdKernel) -> EllipticDescriptor:
+    if kernel.descriptor is None:
+        raise DomainError(f"no elliptic descriptor for kernel '{kernel.family}'")
+    return kernel.descriptor
 
 
 # ---------------------------------------------------------------------------

@@ -8,26 +8,23 @@ weights sum to a), which is what the trace identity check relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.integrate import quad
 
-from .kernels import EPS_PSD, DomainError, PdKernel
+from .kernels import (EPS_PSD, DomainError, PdKernel, descriptor_for_kernel,
+                      kernel_from_name)
 from .quadrature import exp_kernel_apply
 
 
 @dataclass(frozen=True)
 class NystromConfig:
     node_count: int = 400
-    rule: str = "midpoint"
-    symmetrize: bool = True
 
     def __post_init__(self):
         if self.node_count < 16:
             raise ValueError("node_count must be >= 16")
-        if self.rule not in ("midpoint",):
-            raise ValueError(f"unknown quadrature rule '{self.rule}'")
 
 
 @dataclass(frozen=True)
@@ -92,15 +89,10 @@ def discretize(kernel: PdKernel, cfg: NystromConfig = NystromConfig()) -> Mercer
     nodes = (np.arange(n) + 0.5) * h
     weights = np.full(n, h)
     K = kernel(nodes[:, None] - nodes[None, :]).real
-    if cfg.symmetrize:
-        A = h * K
-        A = 0.5 * (A + A.T)
-        lam, U = np.linalg.eigh(A)
-        xi = U / np.sqrt(h)
-    else:
-        lam, U = np.linalg.eig(K * h)
-        lam = lam.real
-        xi = U.real
+    A = h * K
+    A = 0.5 * (A + A.T)
+    lam, U = np.linalg.eigh(A)
+    xi = U / np.sqrt(h)
     order = np.argsort(lam)[::-1]
     lam = lam[order]
     xi = xi[:, order]
@@ -138,10 +130,6 @@ def hf_inner_via_inverse(h_nodes: np.ndarray, k_nodes: np.ndarray,
     ch = dec.coefficients(np.asarray(h_nodes), m)
     ck = dec.coefficients(np.asarray(k_nodes), m)
     return complex(np.sum(np.conj(ch) * ck / dec.eigenvalues[:m]))
-
-
-def hf_norm_sq_via_inverse(h_nodes: np.ndarray, dec: MercerDecomposition, m: int) -> float:
-    return hf_inner_via_inverse(h_nodes, h_nodes, dec, m).real
 
 
 def volterra_apply(f: Callable[[np.ndarray], np.ndarray], n: int = 800,
@@ -192,21 +180,29 @@ class GreensInverseResult:
     grid: np.ndarray            # interior grid (two cells trimmed per side)
     values: np.ndarray          # recovered phi
     boundary_ok: bool
-    boundary_residuals: tuple[float, float]
+    boundary_residuals: tuple[float, ...]   # one per descriptor boundary row
 
 
 def greens_inverse_apply(grid, values: Optional[np.ndarray] = None,
                          dvalues: Optional[np.ndarray] = None,
-                         kernel_family: str = "exp",
+                         kernel: Union[PdKernel, str] = "exp",
                          bc_tol: float = 1e-6) -> GreensInverseResult:
-    """Invert T_F on its range: phi = (f - f'')/2 for the exp kernel,
-    phi = -f''/2 for the triangle; second derivative by 4th-order
-    differences on the interior grid.
+    """Invert T_F on its range through the kernel's elliptic descriptor
+    P(xi) = c0 + c2 xi^2: phi = P(-i d/dx) f = c0 f - c2 f'', with f'' by
+    4th-order differences on the interior grid (exp: (f - f'')/2, triangle:
+    -f''/2).
 
-    Accepts either (grid, values, dvalues) arrays or a Sampled element as
-    the first argument.  The exp boundary conditions f(0) = f'(0),
-    f(a) = -f'(a) are checked and flagged, not enforced.
+    ``kernel`` is a PdKernel or a name for kernel_from_name; a kernel
+    without a descriptor raises DomainError.  Accepts either (grid, values,
+    dvalues) arrays or a Sampled element as the first argument.  With
+    derivative samples, the descriptor's boundary rows are applied to
+    (f(0), f'(0), f(a), f'(a)); their residuals are checked and flagged,
+    not enforced.
     """
+    if isinstance(kernel, str):
+        kernel = kernel_from_name(kernel)
+    desc = descriptor_for_kernel(kernel)
+    c0, _, c2 = desc.poly_coeffs
     if values is None:          # Sampled element passed directly
         el = grid
         grid, values, dvalues = el.grid, el.values, el.dvalues
@@ -214,18 +210,10 @@ def greens_inverse_apply(grid, values: Optional[np.ndarray] = None,
     values = np.asarray(values)
     h = grid[1] - grid[0]
     fpp = _fd_second_derivative(values, h)
-    inner = grid[2:-2]
-    if kernel_family == "exp":
-        phi = 0.5 * (values[2:-2] - fpp)
-    elif kernel_family in ("triangle", "bsplinex:2"):
-        phi = -0.5 * fpp
-    else:
-        raise DomainError(f"no Green's inverse rule for kernel '{kernel_family}'")
-    if dvalues is not None:
-        r0 = abs(values[0] - dvalues[0])
-        r1 = abs(values[-1] + dvalues[-1])
-        scale = max(1.0, float(np.max(np.abs(values))))
-        ok = (r0 < bc_tol * scale and r1 < bc_tol * scale) \
-            if kernel_family == "exp" else True
-        return GreensInverseResult(inner, phi, ok, (float(r0), float(r1)))
-    return GreensInverseResult(inner, phi, True, (np.nan, np.nan))
+    phi = c0 * values[2:-2] - c2 * fpp
+    if dvalues is None:
+        return GreensInverseResult(grid[2:-2], phi, True,
+                                   (np.nan,) * len(desc.boundary_rows))
+    res = desc.boundary_residuals(values[0], dvalues[0], values[-1], dvalues[-1])
+    scale = max(1.0, float(np.max(np.abs(values))))
+    return GreensInverseResult(grid[2:-2], phi, all(r < bc_tol * scale for r in res), res)

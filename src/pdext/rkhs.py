@@ -24,9 +24,9 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .kernels import DomainError, MeasureOnInterval, PdKernel
-from .quadrature import (cell_gl_layout, exp_kernel_apply, kernel_apply_on_grid,
-                         panel_nodes, simpson)
+from .kernels import (EXP_DESCRIPTOR, DomainError, MeasureOnInterval, PdKernel,
+                      descriptor_for_kernel)
+from .quadrature import cell_gl_layout, kernel_apply_on_grid, panel_nodes, simpson
 
 
 @dataclass(frozen=True)
@@ -140,17 +140,32 @@ def complex_exponential(lam: float, a: float = 1.0, n: int = 2000) -> Sampled:
 # inner products
 # ---------------------------------------------------------------------------
 
+def _combo_matrix(combos: Sequence[KernelCombo]):
+    """Distinct centers X and coefficients C with combos[i] = sum_j C[i, j] F(. - X[j])."""
+    centers = np.unique([x for cb in combos for _, x in cb.coeffs])
+    C = np.zeros((len(combos), len(centers)), dtype=complex)
+    for i, cb in enumerate(combos):
+        for c, x in cb.coeffs:
+            C[i, np.searchsorted(centers, x)] += c
+    return centers, C
+
+
+def combo_gram(combos: Sequence[KernelCombo], kernel: PdKernel) -> np.ndarray:
+    """[<combos[i], combos[j]>] = conj(C) F(X - X^T) C^T by exact kernel arithmetic."""
+    X, C = _combo_matrix(combos)
+    return C.conj() @ kernel(X[:, None] - X[None, :]) @ C.T
+
+
+def combo_eval(combos: Sequence[KernelCombo], kernel: PdKernel, xs) -> np.ndarray:
+    """[combos[j](xs[i])], shape (len(xs), len(combos))."""
+    X, C = _combo_matrix(combos)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    return kernel(xs[:, None] - X[None, :]) @ C.T
+
+
 def inner_product_combo(a: KernelCombo, b: KernelCombo, kernel: PdKernel) -> complex:
     """<sum c_i F_{x_i}, sum d_j F_{y_j}> = sum conj(c_i) d_j F(x_i - y_j)."""
-    total = 0.0 + 0.0j
-    for ci, xi in a.coeffs:
-        for dj, yj in b.coeffs:
-            total += np.conj(ci) * dj * complex(kernel(xi - yj))
-    return complex(total)
-
-
-def combo_norm_sq(a: KernelCombo, kernel: PdKernel) -> float:
-    return inner_product_combo(a, a, kernel).real
+    return complex(combo_gram([a, b], kernel)[0, 1])
 
 
 def _l2_pair(h: Sampled, k: Sampled, use_deriv: bool, n_panels: int = 256,
@@ -198,6 +213,15 @@ def exp_norm_sq(h: Sampled) -> float:
 # the smoothing transform F_phi = T_F phi
 # ---------------------------------------------------------------------------
 
+def _apply(kernel: PdKernel, grid, g, m: int, deriv: bool = True):
+    """(T_F g, (T_F g)') on the grid: the kernel's fast apply when attached,
+    else kink-split dense quadrature (the derivative only when asked for)."""
+    if kernel.fast_apply is not None:
+        return kernel.fast_apply(grid, g, m=m)
+    values = kernel_apply_on_grid(kernel, grid, g, m=m)
+    return values, kernel_apply_on_grid(kernel.deriv, grid, g, m=m) if deriv else None
+
+
 def smooth(phi, kernel: PdKernel, n: int = 2000, gl_order: int = 6) -> Sampled:
     """F_phi(x) = int_0^a phi(y) F(x - y) dy with derivative
     F_phi'(x) = int phi(y) F'(x - y) dy and boundary data from the same
@@ -215,11 +239,7 @@ def smooth(phi, kernel: PdKernel, n: int = 2000, gl_order: int = 6) -> Sampled:
     probe = np.max(np.abs(phi_fn(np.linspace(0, a, 257))))
     if probe > 0 and ends > 1e-9 * probe:
         raise DomainError("test function must vanish at the endpoints")
-    if kernel.family == "exp":
-        values, dvalues = exp_kernel_apply(grid, phi_fn, m=gl_order)
-    else:
-        values = kernel_apply_on_grid(kernel, grid, phi_fn, m=gl_order)
-        dvalues = kernel_apply_on_grid(kernel.deriv, grid, phi_fn, m=gl_order)
+    values, dvalues = _apply(kernel, grid, phi_fn, gl_order)
     bd = BoundaryData(values[0], dvalues[0], values[-1], dvalues[-1])
     return Sampled(grid, values, dvalues, bd)
 
@@ -232,22 +252,15 @@ def inner_product_smoothed(phi, psi, kernel: PdKernel, n: int = 2000,
     grid = np.linspace(0.0, a, n + 1)
     phi_fn = phi if callable(phi) else Smoothed(*phi).callable()
     psi_fn = psi if callable(psi) else Smoothed(*psi).callable()
-    if kernel.family == "exp":
-        tpsi, _ = exp_kernel_apply(grid, psi_fn, m=gl_order)
-    else:
-        tpsi = kernel_apply_on_grid(kernel, grid, psi_fn, m=gl_order)
+    tpsi, _ = _apply(kernel, grid, psi_fn, gl_order, deriv=False)
     return complex(simpson(np.conj(phi_fn(grid)) * tpsi, grid))
-
-
-def smoothed_norm_sq(phi, kernel: PdKernel, **kw) -> float:
-    return inner_product_smoothed(phi, phi, kernel, **kw).real
 
 
 def reproducing_eval(xi: RkhsElement, x: float, kernel: PdKernel) -> complex:
     """<F(. - x), xi> = xi(x), evaluated per representation."""
     x = float(x)
     if isinstance(xi, KernelCombo):
-        return complex(sum(c * complex(kernel(x - xj)) for c, xj in xi.coeffs))
+        return complex(combo_eval([xi], kernel, x)[0, 0])
     if isinstance(xi, Smoothed):
         fn = xi.callable()
         a = kernel.half_width
@@ -318,13 +331,9 @@ def element_from_measure(mu: MeasureOnInterval, kernel: PdKernel,
         if dens_fn is None:
             g, d = mu.grid, mu.density
             dens_fn = lambda t: np.interp(t, g, d.real) + 1j * np.interp(t, g, d.imag)
-        if kernel.family == "exp":
-            v, dv = exp_kernel_apply(grid, dens_fn, m=gl_order)
-            values += v
-            dvalues += dv
-        else:
-            values += kernel_apply_on_grid(kernel, grid, dens_fn, m=gl_order)
-            dvalues += kernel_apply_on_grid(kernel.deriv, grid, dens_fn, m=gl_order)
+        v, dv = _apply(kernel, grid, dens_fn, gl_order)
+        values += v
+        dvalues += dv
     dleft, dright = kernel.deriv_at_zero
     for loc, w in mu.atoms:
         values += w * kernel(grid - loc)
@@ -375,9 +384,10 @@ def element_measure_expansion(h: Sampled, lambdas: Sequence[float], kernel: PdKe
                               n: int = 2001) -> MeasureOnInterval:
     """dmu_h = sum_n (<e_n, h>/||e_n||^2) dmu_n over the spectrum Lambda_theta
     (exp kernel); element_from_measure of the result approximates h with the
-    Parseval tail as the error budget."""
-    if kernel.family != "exp":
-        raise DomainError("measure expansion is implemented for the exp kernel")
+    Parseval tail as the error budget.  The mu_n are built from the exp
+    descriptor (1/2)(1 + xi^2) and its Robin rows; other kernels raise."""
+    if descriptor_for_kernel(kernel) != EXP_DESCRIPTOR:
+        raise DomainError("measure expansion needs the exp kernel's elliptic descriptor")
     lambdas = np.asarray(lambdas, dtype=float)
     coeffs = []
     for lam in lambdas:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pdext import DomainError, bspline_x_kernel, kernel_from_name
+from pdext import DomainError, kernel_from_name
 from pdext.dyadic import (DyadicIndex, build_onb, expand, generic_norm_formula,
                           level_norm_sq, membership_by_coefficients, norm_table,
                           onb_gram, parseval_norm, projection_interpolation,
