@@ -420,7 +420,9 @@ def discrete_isometry_check(S: Sequence[float], F_vals: Callable,
     if evals[0] < -EPS_PSD:
         return IsometryReport(False, math.inf, np.array([]), False,
                               witness=evecs[:, 0])
-    mu_hat = np.asarray([[bochner_transform(mu, sk - sj) for sk in S] for sj in S])
+    # mu_hat[j, k] = mu_hat(s_k - s_j), one transform per distinct difference
+    diffs, inverse = np.unique(S[None, :] - S[:, None], return_inverse=True)
+    mu_hat = np.asarray([bochner_transform(mu, d) for d in diffs])[inverse].reshape(n, n)
     rng = np.random.default_rng(seed)
     gaps = np.empty(trials)
     for t in range(trials):

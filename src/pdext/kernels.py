@@ -22,13 +22,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicHermiteSpline
 
-from .quadrature import exp_kernel_apply, integrate, kernel_apply_on_grid, simpson
+from .quadrature import exp_kernel_apply, integrate, poly_abs_kernel_apply, simpson
 
 EPS_PSD = 1e-9
 
@@ -471,7 +472,10 @@ class PdKernel:
 
     The built-in factories attach the structure their kernel has:
     ``fast_apply(grid, g, m)`` returns (T_F g, (T_F g)') on the grid in
-    O(n m); ``descriptor`` is the elliptic operator T_F^{-1} extends;
+    O(n m) -- ``exp_kernel_apply`` for the exp kernel, and
+    ``poly_abs_kernel_apply`` over the exact coefficients for kernels that
+    are a polynomial in |t| on [-a, a] (the triangle, ``bsplinex:k`` with
+    a <= 1); ``descriptor`` is the elliptic operator T_F^{-1} extends;
     ``spectrum`` is the transcendental equation of the Mercer eigenvalues.
     Consumers take a dense path or raise DomainError when one is None.
     """
@@ -545,6 +549,7 @@ def triangle_kernel() -> PdKernel:
         derivative=lambda x: -np.sign(x) * np.ones_like(np.asarray(x, dtype=float)),
         deriv_at_zero=(1.0, -1.0),
         measure=meas,
+        fast_apply=partial(poly_abs_kernel_apply, (1.0, -1.0)),
         descriptor=TRIANGLE_DESCRIPTOR,
         spectrum=triangle_bvp_spec(),
     )
@@ -576,13 +581,29 @@ def bspline_kernel(k: int, half_width: float = 1.0) -> PdKernel:
                     measure=meas)
 
 
+def bspline_x_poly_coeffs(k: int) -> tuple[float, ...]:
+    """c with B^{*k}(t) / B^{*k}(0) = sum_q c_q |t|^q on [-1, 1], for even k.
+
+    The knots of B^{*k} are the integers there, so on [0, 1] only the
+    terms j <= k/2 of the closed form are active; with k/2 - j an integer,
+    (k-1)! B^{*k} has integer coefficients and each c_q is one correctly
+    rounded quotient of two exact integers."""
+    half = k // 2
+    ints = [sum((-1) ** j * math.comb(k, j) * math.comb(k - 1, q) * (half - j) ** (k - 1 - q)
+                for j in range(half + 1)) for q in range(k)]
+    return tuple(c / ints[0] for c in ints)
+
+
 def bspline_x_kernel(k: int, half_width: float = 0.5) -> PdKernel:
     """Normalized x-space B-spline B^{*k}(x)/B^{*k}(0) restricted to (-a, a);
-    k = 2 is the triangle.  Frequency density ~ sinc^k with tail exponent k.
-    Only k = 2 with a = 1/2 carries the triangle's descriptor and spectrum:
-    its boundary rows and root equation hold for a = 1/2 alone."""
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    k = 2 is the triangle.  Frequency density ~ sinc^k with tail exponent k,
+    so k must be even (sinc^k < 0 somewhere for odd k).  For a <= 1 the
+    kernel is one polynomial in |t| and carries its fast apply.  Only
+    k = 2 with a = 1/2 carries the triangle's descriptor and spectrum: its
+    boundary rows and root equation hold for a = 1/2 alone."""
+    if k < 2 or k % 2:
+        raise DomainError("bsplinex:k needs an even k >= 2: the density sinc^k "
+                          "is negative somewhere for odd k")
     b0 = float(bspline_autoconvolution(k, 0.0))
     scale = 1.0 / (2.0 * np.pi * b0)
     dens = lambda l: scale * np.sinc(np.asarray(l) / (2.0 * np.pi)) ** k
@@ -599,15 +620,18 @@ def bspline_x_kernel(k: int, half_width: float = 0.5) -> PdKernel:
         return bspline_autoconvolution(k, np.asarray(x, dtype=float)) / b0
 
     def dv(x):
+        # (B^{*k})' = B^{*(k-1)}(x + 1/2) - B^{*(k-1)}(x - 1/2)
         x = np.asarray(x, dtype=float)
-        h = 1e-7
-        return (bspline_autoconvolution(k, x + h) - bspline_autoconvolution(k, x - h)) / (2 * h * b0)
+        return (bspline_autoconvolution(k - 1, x + 0.5)
+                - bspline_autoconvolution(k - 1, x - 0.5)) / b0
 
-    dplus = float(dv(np.array([1e-7]))[0])
+    coeffs = bspline_x_poly_coeffs(k)
     triangle = k == 2 and half_width == 0.5
+    # the one-sided limits of F' at 0 are -c_1 (left) and c_1 (right)
     return PdKernel(family=f"bsplinex:{k}", half_width=half_width,
-                    evaluate=ev, derivative=dv, deriv_at_zero=(-dplus, dplus),
+                    evaluate=ev, derivative=dv, deriv_at_zero=(-coeffs[1], coeffs[1]),
                     measure=meas,
+                    fast_apply=partial(poly_abs_kernel_apply, coeffs) if half_width <= 1.0 else None,
                     descriptor=TRIANGLE_DESCRIPTOR if triangle else None,
                     spectrum=triangle_bvp_spec() if triangle else None)
 
@@ -763,8 +787,7 @@ def concentration(mu: MeasureOnInterval, n_panels: int = 400,
                           lo, hi, n_panels=n_panels, m=gl_order, split_points=(xa,))
             q += 2.0 * wa * v.real if isinstance(v, complex) else 2.0 * wa * v
         # density x density with the kink split at the inner variable
-        inner = kernel_apply_on_grid(lambda t: np.exp(-np.abs(t)), grid, rho_fn,
-                                     m=gl_order)
+        inner, _ = exp_kernel_apply(grid, rho_fn, m=gl_order)
         q += float(simpson(inner * rho, grid))
     q = float(q)
     if not (0.0 < q <= 1.0 + 1e-9):

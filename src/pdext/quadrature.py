@@ -7,9 +7,15 @@ composite Gauss-Legendre panels on the smooth pieces.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+# entries of F(x_i - y) that kernel_apply_on_grid holds at once (2 MB per
+# float64 temporary)
+_BLOCK_ENTRIES = 2 ** 18
 
 
 def gl_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -88,13 +94,57 @@ def kernel_apply_on_grid(F, grid: np.ndarray, g, m: int = 4) -> np.ndarray:
     """Evaluate x_i -> integral of F(x_i - y) g(y) dy over the grid span.
 
     F and g are vectorized callables; every grid point is a cell boundary,
-    so the kernel kink at y = x_i never falls inside a panel.  Cost is
-    O(n_cells^2 * m) via broadcasting.
+    so the kernel kink at y = x_i never falls inside a panel.  Time is
+    O(n^2 m) for n grid points; F(x_i - y) is evaluated in row blocks of
+    about _BLOCK_ENTRIES entries, so memory is O(n m + block), not
+    O(n^2 m).  Each row is reduced on its own, so the result is
+    bit-identical to the one-shot (n, n m) broadcast.
     """
     nodes, weights = cell_gl_layout(grid, m)
-    gy = g(nodes.ravel()) * weights.ravel()
-    diffs = grid[:, None] - nodes.ravel()[None, :]
-    return (F(diffs) * gy[None, :]).sum(axis=1)
+    y = nodes.ravel()
+    gy = g(y) * weights.ravel()
+    rows = max(1, _BLOCK_ENTRIES // len(y))
+    return np.concatenate([(F(grid[i:i + rows, None] - y[None, :]) * gy[None, :]).sum(axis=1)
+                           for i in range(0, len(grid), rows)])
+
+
+def poly_abs_kernel_apply(coeffs, grid: np.ndarray, g, m: int = 6):
+    """(T f)(x_i) = int F(x_i - y) g(y) dy and its x-derivative for
+    F(t) = sum_j coeffs[j] |t|^j, O(n m deg^2).
+
+    On the same per-cell GL rule as kernel_apply_on_grid: the moments
+    int v^p g over each cell (v = y - c, c the grid's midpoint) are
+    prefix-summed from both ends, and the binomial expansion of
+    (u - v)^j, u = x_i - c, turns them into both integrals at every grid
+    point in one pass.
+    """
+    nodes, weights = cell_gl_layout(grid, m)
+    c = 0.5 * (grid[0] + grid[-1])
+    wg = weights * g(nodes)
+    v = nodes - c
+    cells = np.array([np.sum(wg * v ** p, axis=1) for p in range(len(coeffs))])
+    zero = np.zeros((len(coeffs), 1), dtype=cells.dtype)
+    # left[p, i] = int_{y < x_i} v^p g ; right[p, i] = int_{y > x_i} v^p g
+    left = np.concatenate([zero, np.cumsum(cells, axis=1)], axis=1)
+    right = np.concatenate([np.cumsum(cells[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
+    u = grid - c
+    # F' = sum_j j c_j sign(t) |t|^{j-1}: the same sums with the right part negated
+    values = _two_sided(coeffs, u, left, right, 1.0)
+    derivs = _two_sided([j * cj for j, cj in enumerate(coeffs)][1:], u, left, right, -1.0)
+    return values, derivs
+
+
+def _two_sided(coeffs, u, left, right, sign: float):
+    """sum_j coeffs[j] (int_{y < x} (x - y)^j g + sign int_{y > x} (y - x)^j g)
+    from the moment prefix sums, with (u - v)^j expanded binomially."""
+    out = np.zeros(left.shape[1], dtype=left.dtype)
+    for j, cj in enumerate(coeffs):
+        if cj == 0:
+            continue
+        for p in range(j + 1):
+            b = cj * math.comb(j, p)
+            out += b * u ** (j - p) * ((-1) ** p * left[p] + sign * (-1) ** (j - p) * right[p])
+    return out
 
 
 def exp_kernel_apply(grid: np.ndarray, g, m: int = 6):
