@@ -131,15 +131,12 @@ def cmd_mercer(args) -> int:
     if abs(dec.trace() - a) > 1e-9:
         raise RuntimeError(f"trace {dec.trace()!r} deviates from {a}")
     report = elliptic.verify_against_mercer(spec, dec, args.n)
-    roots = elliptic.solve_transcendental(spec, max(2 * args.n + 8, 16))
-    by_mapped = sorted(zip(spec.mercer_map(roots), roots), reverse=True)
-    mapped = {i: (m, rel) for i, _, m, rel in report.matched}
+    matched = {i: (k, m, rel) for i, _, k, m, rel in report.matched}
     rows = []
     for i in range(args.n):
         lam = float(dec.eigenvalues[i])
-        if i in mapped:
-            k = next(k for m, k in by_mapped if abs(m - mapped[i][0]) < 1e-14)
-            rows.append((i + 1, lam, float(k), mapped[i][0], mapped[i][1], "matched"))
+        if i in matched:
+            rows.append((i + 1, lam, *matched[i], "matched"))
         else:
             rows.append((i + 1, lam, float("nan"), float("nan"), float("nan"),
                          "unmatched"))

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 # the kernel structure lives in kernels; re-exported here for its users
 from .kernels import (DomainError, EllipticDescriptor, PdKernel,  # noqa: F401
@@ -37,47 +36,65 @@ from .mercer import MercerDecomposition
 from .quadrature import panel_nodes, simpson
 
 
+def bracketed_roots(f, lo, hi) -> np.ndarray:
+    """One root of a vectorized ``f`` in each bracket [lo_i, hi_i] across
+    which it changes sign.  Every bracket is bisected at once until its ends
+    are adjacent floats; the end with the smaller |f| is returned."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    flo, fhi = np.asarray(f(lo)), np.asarray(f(hi))
+    if np.any(np.sign(flo) * np.sign(fhi) > 0.0):
+        raise DomainError("f does not change sign across every bracket")
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        fmid = np.asarray(f(mid))
+        # fmid == 0 moves hi onto that exact root, and the final pick keeps it
+        right = live & (np.sign(fmid) == np.sign(flo))
+        left = live & ~right
+        lo, flo = np.where(right, mid, lo), np.where(right, fmid, flo)
+        hi, fhi = np.where(left, mid, hi), np.where(left, fmid, fhi)
+    return np.where(np.abs(fhi) < np.abs(flo), hi, lo)
+
+
 def solve_transcendental(spec: TranscendentalSpec, count: int,
                          scan_step: float = 0.01,
                          max_k: float = 1e4) -> np.ndarray:
-    """First ``count`` positive roots by vectorized sign-change scan plus
-    Brent and a Newton polish; normalized residuals < 1e-12 and simplicity
-    are enforced."""
+    """First ``count`` positive roots: a vectorized sign-change scan in blocks,
+    each block's brackets refined together by ``bracketed_roots``.  Roots that
+    are not simple (|f'| < 1e-8) or whose normalized residual exceeds 1e-12
+    raise DomainError."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    roots: list[float] = []
+    roots: list[np.ndarray] = []
+    found = 0
     f = spec.residual
     lo = spec.k_min
     block = 20000
-    while len(roots) < count:
+    while found < count:
         if lo > max_k:
             raise DomainError("root window exhausted")
         ks = lo + scan_step * np.arange(block + 1)
         vals = np.asarray(f(ks))
-        sign_change = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-        for i in sign_change:
-            r = brentq(f, ks[i], ks[i + 1], xtol=1e-15, rtol=8.9e-16)
-            for _ in range(2):
-                h = 1e-7 * max(1.0, abs(r))
-                df = (float(f(r + h)) - float(f(r - h))) / (2 * h)
-                if df != 0.0:
-                    r -= float(f(r)) / df
-            h = 1e-6 * max(1.0, abs(r))
-            df = (float(f(r + h)) - float(f(r - h))) / (2 * h)
-            if abs(df) < 1e-8:
-                raise DomainError(f"root near k = {r} is not simple")
-            if abs(float(spec.normalized_residual(r))) > 1e-12:
-                raise DomainError(f"poorly converged root near k = {r}")
-            roots.append(float(r))
-            if len(roots) >= count:
-                break
+        i = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0][:count - found]
+        r = bracketed_roots(f, ks[i], ks[i + 1])
+        h = 1e-6 * np.maximum(1.0, np.abs(r))
+        flat = np.abs(f(r + h) - f(r - h)) / (2 * h) < 1e-8
+        if flat.any():
+            raise DomainError(f"root near k = {r[flat][0]} is not simple")
+        loose = np.abs(spec.normalized_residual(r)) > 1e-12
+        if loose.any():
+            raise DomainError(f"poorly converged root near k = {r[loose][0]}")
+        roots.append(r)
+        found += len(r)
         lo = ks[-1]
-    return np.asarray(roots[:count])
+    return np.concatenate(roots)
 
 
 @dataclass(frozen=True)
 class MercerMatchReport:
-    matched: list            # (index, nystrom eigenvalue, mapped root value, rel error)
+    matched: list            # (index, nystrom eigenvalue, root k, mapped root value, rel error)
     unmatched: list          # (index, nystrom eigenvalue)
     max_rel_error: float
 
@@ -91,7 +108,9 @@ def verify_against_mercer(spec: TranscendentalSpec, dec: MercerDecomposition,
     """Match the top N Nystrom eigenvalues with mapped transcendental roots;
     eigenvalues with no root within rtol are reported, not hidden."""
     roots = solve_transcendental(spec, max(2 * N + 8, 16))
-    mapped = np.sort(spec.mercer_map(roots))[::-1]
+    mapped = spec.mercer_map(roots)
+    order = np.argsort(mapped)[::-1]
+    roots, mapped = roots[order], mapped[order]
     matched, unmatched = [], []
     worst = 0.0
     for i in range(N):
@@ -99,7 +118,8 @@ def verify_against_mercer(spec: TranscendentalSpec, dec: MercerDecomposition,
         j = int(np.argmin(np.abs(mapped - lam)))
         rel = abs(mapped[j] - lam) / lam
         if rel < rtol:
-            matched.append((i, float(lam), float(mapped[j]), float(rel)))
+            matched.append((i, float(lam), float(roots[j]), float(mapped[j]),
+                            float(rel)))
             worst = max(worst, rel)
         else:
             unmatched.append((i, float(lam)))

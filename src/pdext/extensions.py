@@ -8,9 +8,9 @@ theta in [0, 2pi) and their spectra Lambda_theta solve
 
 equivalently the strictly monotone phase equation
 lam + 2 arctan(lam) = theta + 2 pi n, one root per branch n.  The arctan
-form of the same condition hides a branch choice, so roots are located in
-the phase form and residuals are reported for the complex equation with the
-2 pi n multiple removed exactly.
+form of the same condition hides a branch choice, so all branches are
+bisected at once in the phase form and residuals are reported for the
+complex equation with the 2 pi n multiple removed exactly.
 
 Type-1 extensions: F_theta(x) = sum 2/(lam^2+3) e^{i lam x} over Lambda_theta.
 Type-2 family: G_r with exponential tails of rate r glued at |x| = 1.
@@ -24,14 +24,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import polygamma
 
+from .elliptic import bracketed_roots
 from .kernels import (EPS_PSD, DomainError, PdKernel, SpectralMeasure,
                       bochner_transform)
 from .quadrature import panel_nodes
-from .rkhs import (Sampled, complex_exponential, exp_inner_product,
-                   sampled_from_callable)
+from .rkhs import Sampled, exp_basis_coefficients, sampled_from_callable
 
 
 # ---------------------------------------------------------------------------
@@ -57,46 +56,27 @@ class ThetaSpectrum:
         return 2.0 / (self.lambdas ** 2 + 3.0)
 
 
-def _phase_residual(theta: float, n: int, t: float, lam: float) -> float:
-    """|e^{i lam}(1+i lam) - e^{i theta}(1-i lam)| with e^{i lam} evaluated as
-    -e^{i(theta+t)} (exact reduction of the 2 pi n multiple)."""
-    lhs = -np.exp(1j * (theta + t)) * (1.0 + 1j * lam)
-    rhs = np.exp(1j * theta) * (1.0 - 1j * lam)
-    return float(abs(lhs - rhs))
-
-
 def solve_theta_spectrum(theta: float, N: int) -> ThetaSpectrum:
     """Solve lam + 2 arctan(lam) = theta + 2 pi n for n in [-N, N].
 
     Each branch window (theta + (2n-1) pi, theta + (2n+1) pi) holds exactly
-    one root since the phase is strictly increasing.  theta outside [0, 2pi)
-    is reduced modulo 2 pi.
+    one root since the phase is strictly increasing; all windows are bisected
+    at once in the offset t = lam - theta - (2n-1) pi.  The residual
+    |e^{i lam}(1+i lam) - e^{i theta}(1-i lam)| evaluates e^{i lam} as
+    -e^{i(theta+t)}, an exact reduction of the 2 pi n multiple.  theta
+    outside [0, 2pi) is reduced modulo 2 pi.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     theta = float(theta) % (2.0 * math.pi)
     ns = np.arange(-N, N + 1)
-    lams = np.empty(len(ns))
-    resids = np.empty(len(ns))
-    for i, n in enumerate(ns):
-        base = theta + (2 * n - 1) * math.pi   # lam = base + t, t in (0, 2 pi)
-
-        def gap(t):
-            return (t - math.pi) + 2.0 * math.atan(base + t)
-
-        lo, hi = 1e-14, 2.0 * math.pi - 1e-14
-        glo, ghi = gap(lo), gap(hi)
-        if not (glo < 0.0 < ghi):
-            raise DomainError(f"bracket failure on branch n = {n}")
-        t = brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16)
-        # Newton polish in the t variable (derivative ~ 1, so this is stable)
-        for _ in range(2):
-            lam = base + t
-            g = (t - math.pi) + 2.0 * math.atan(lam)
-            t -= g / (1.0 + 2.0 / (1.0 + lam * lam))
-        lam = base + t
-        lams[i] = lam
-        resids[i] = _phase_residual(theta, n, t, lam)
+    base = theta + (2 * ns - 1) * math.pi
+    lo = np.full(len(ns), 1e-14)
+    t = bracketed_roots(lambda t: (t - math.pi) + 2.0 * np.arctan(base + t),
+                        lo, 2.0 * math.pi - lo)
+    lams = base + t
+    resids = np.abs(-np.exp(1j * (theta + t)) * (1.0 + 1j * lams)
+                    - np.exp(1j * theta) * (1.0 - 1j * lams))
     if np.any(np.diff(lams) <= 0):
         raise DomainError("branch eigenvalues failed to be strictly increasing")
     return ThetaSpectrum(theta, ns, lams, resids)
@@ -217,12 +197,7 @@ class ThetaExpansion:
 
 def expand_in_theta_basis(h: Sampled, ext: TypeOneExtension) -> ThetaExpansion:
     """c_n = <e_n, h> / ||e_n||^2 by the Sobolev-form inner product."""
-    lams = ext.lambdas
-    coeffs = np.empty(len(lams), dtype=complex)
-    for i, lam in enumerate(lams):
-        e = complex_exponential(lam, 1.0, n=len(h.grid) - 1)
-        coeffs[i] = exp_inner_product(e, h) * 2.0 / (lam * lam + 3.0)
-    return ThetaExpansion(ext.spectrum, coeffs)
+    return ThetaExpansion(ext.spectrum, exp_basis_coefficients(h, ext.lambdas))
 
 
 def unitary_evolve(h, t: float, ext: TypeOneExtension) -> ThetaExpansion:
@@ -342,25 +317,17 @@ class TypeTwoExtension:
         return ((0.0, math.exp(-1.0)),) if self.r == 0.0 else ()
 
     def mass(self) -> float:
-        """int ghat_r dl (+ atom), by Fourier-weighted adaptive quadrature."""
-        smooth, terms = _gr_terms(self.r)
-        total = 2.0 * quad(smooth, 0.0, np.inf, limit=400)[0]
-        for kind, f in terms:
-            lo = 1e-12 if (self.r == 0.0 and kind == "sin") else 0.0
-            total += (2.0 / _E) * 2.0 * quad(f, lo, np.inf, weight=kind,
-                                             wvar=1.0, limit=400)[0]
-        total /= 2.0 * np.pi
-        return total + sum(w for _, w in self.atoms)
+        """int ghat_r dl (+ atom): the reconstruction at x = 0."""
+        return self.reconstruct(0.0)
 
     def reconstruct(self, x: float) -> float:
         """int e^{i l x} ghat_r(l) dl (+ atom contribution), via product-to-sum
         splitting so every oscillatory piece is a QUADPACK Fourier integral."""
         ax = abs(float(x))
         smooth, terms = _gr_terms(self.r)
-        if ax < 1e-9:          # QAWF needs a genuinely nonzero frequency
-            return self.mass()
-        total = 2.0 * quad(smooth, 0.0, np.inf, weight="cos", wvar=ax,
-                           limit=400)[0]
+        # QAWF needs a genuinely nonzero frequency
+        fourier = {"weight": "cos", "wvar": ax} if ax >= 1e-9 else {}
+        total = 2.0 * quad(smooth, 0.0, np.inf, limit=400, **fourier)[0]
         for kind, f in terms:
             lo = 1e-12 if (self.r == 0.0 and kind == "sin") else 0.0
             for wv in (1.0 + ax, 1.0 - ax):
@@ -406,23 +373,25 @@ def discrete_isometry_check(S: Sequence[float], F_vals: Callable,
                             mu: SpectralMeasure, trials: int = 100,
                             tol: float = 1e-6, seed: int = 0) -> IsometryReport:
     """Compare the Gram quadratic form sum conj(c_j) c_k F(s_j - s_k) with
-    int |sum c_k e^{i s_k l}|^2 dmu over random coefficient vectors.
+    int |sum c_k e^{-i s_k l}|^2 dmu = sum conj(c_j) c_k mu_hat(s_j - s_k)
+    over random coefficient vectors.
 
     F_vals is a callable on the difference set.  Fails immediately (with an
     eigenvector witness) when the Gram matrix is not PSD.
     """
     S = np.asarray(S, dtype=float)
     n = len(S)
-    G = np.asarray([[F_vals(si - sj) for sj in S] for si in S], dtype=complex)
+    # both sides on D[j, k] = s_j - s_k, evaluated once per distinct difference
+    diffs, inverse = np.unique(S[:, None] - S[None, :], return_inverse=True)
+    inverse = inverse.reshape(n, n)
+    G = np.asarray([F_vals(d) for d in diffs], dtype=complex)[inverse]
     if np.max(np.abs(G - G.conj().T)) > 1e-12:
         raise DomainError("F_vals is not Hermitian on S - S")
     evals, evecs = np.linalg.eigh(0.5 * (G + G.conj().T))
     if evals[0] < -EPS_PSD:
         return IsometryReport(False, math.inf, np.array([]), False,
                               witness=evecs[:, 0])
-    # mu_hat[j, k] = mu_hat(s_k - s_j), one transform per distinct difference
-    diffs, inverse = np.unique(S[None, :] - S[:, None], return_inverse=True)
-    mu_hat = np.asarray([bochner_transform(mu, d) for d in diffs])[inverse].reshape(n, n)
+    mu_hat = np.asarray([bochner_transform(mu, d) for d in diffs])[inverse]
     rng = np.random.default_rng(seed)
     gaps = np.empty(trials)
     for t in range(trials):

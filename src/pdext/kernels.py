@@ -21,7 +21,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -505,9 +505,6 @@ class PdKernel:
         x = np.asarray(x, dtype=float)
         self._check_domain(x)
         return self.derivative(np.clip(x, -self.half_width, self.half_width))
-
-    def with_measure(self, measure: SpectralMeasure) -> "PdKernel":
-        return replace(self, measure=measure)
 
 
 def _cauchy_measure(L: float = 200.0, n: int = 20001) -> SpectralMeasure:

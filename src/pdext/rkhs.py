@@ -209,6 +209,15 @@ def exp_norm_sq(h: Sampled) -> float:
     return exp_inner_product(h, h).real
 
 
+def exp_basis_coefficients(h: Sampled, lambdas: Sequence[float]) -> np.ndarray:
+    """c_n = <e_n, h> / ||e_n||^2 over e_n = e^{i lam_n x} on [0, 1], with the
+    exp kernel's ||e_lam||^2 = (lam^2 + 3)/2."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    inner = [exp_inner_product(complex_exponential(lam, 1.0, n=len(h.grid) - 1), h)
+             for lam in lambdas]
+    return np.asarray(inner, dtype=complex) / (0.5 * (lambdas ** 2 + 3.0))
+
+
 # ---------------------------------------------------------------------------
 # the smoothing transform F_phi = T_F phi
 # ---------------------------------------------------------------------------
@@ -389,12 +398,7 @@ def element_measure_expansion(h: Sampled, lambdas: Sequence[float], kernel: PdKe
     if descriptor_for_kernel(kernel) != EXP_DESCRIPTOR:
         raise DomainError("measure expansion needs the exp kernel's elliptic descriptor")
     lambdas = np.asarray(lambdas, dtype=float)
-    coeffs = []
-    for lam in lambdas:
-        e = complex_exponential(lam, 1.0, n=len(h.grid) - 1)
-        c = exp_inner_product(e, h) / (0.5 * (lam ** 2 + 3.0))
-        coeffs.append(c)
-    coeffs = np.asarray(coeffs)
+    coeffs = exp_basis_coefficients(h, lambdas)
     grid = np.linspace(0.0, 1.0, n)
     halves = 0.5 * (1.0 + lambdas ** 2)
     dens = (coeffs * halves)[None, :] * np.exp(1j * np.outer(grid, lambdas))

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from pdext import DomainError
-from pdext.elliptic import (bspline_operator_bound, delta_report_json,
-                            descriptor_for_kernel,
+from pdext.elliptic import (bracketed_roots, bspline_operator_bound,
+                            delta_report_json, descriptor_for_kernel,
                             distributional_derivative_check, ellipticity_check,
                             exp_bvp_spec, mollifier, root_table_rows,
                             solve_transcendental, standard_bumps, support_check,
@@ -70,6 +71,41 @@ class TestTriangleRoots:
         partial = np.cumsum(spec.mercer_map(ks))
         assert np.all(partial < 0.5)
         assert partial[-1] > 0.4995
+
+
+class TestBracketedRoots:
+    def test_root_exactly_at_a_midpoint(self):
+        # the second midpoint of [0, 1] is the root of x - 1/4 itself
+        r = bracketed_roots(lambda x: x - 0.25, [0.0], [1.0])
+        assert r[0] == 0.25
+
+    def test_mixed_brackets(self):
+        # rising and falling sign changes, wide and narrow brackets, roots
+        # inside and at either end
+        c = np.array([0.3, -2.0, 1e3, 0.75, 5.0, 1.0 / 3.0])
+        s = np.array([1.0, -1.0, 1.0, -2.0, 1.0, -1.0])
+        lo = np.array([0.0, -3.0, 999.0, 0.75, 4.0, -10.0])
+        hi = np.array([1.0, 1.0, 1e3 + 1e-9, 1.0, 5.0, 10.0])
+        r = bracketed_roots(lambda x: s * (x - c) ** 3, lo, hi)
+        assert np.all(np.abs(r - c) <= np.spacing(np.abs(c)))
+        assert r[3] == 0.75 and r[4] == 5.0
+
+    def test_bracket_without_sign_change_refused(self):
+        with pytest.raises(DomainError):
+            bracketed_roots(np.cos, [0.0, 3.0], [1.0, 4.0])
+
+
+@pytest.mark.parametrize("spec", [exp_bvp_spec(), triangle_bvp_spec()],
+                         ids=["exp", "triangle"])
+def test_roots_match_brentq_oracle(spec):
+    # oracle: scipy's Brent on the sign changes of a finer, independent scan
+    ks = spec.k_min + 0.003 * np.arange(1, 10 ** 6)
+    vals = spec.residual(ks)
+    i = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0][:400]
+    oracle = np.array([brentq(spec.residual, ks[j], ks[j + 1], xtol=1e-15,
+                              rtol=8.9e-16) for j in i])
+    roots = solve_transcendental(spec, 400)
+    assert np.max(np.abs(roots - oracle) / oracle) < 1e-14
 
 
 class TestVerifyAgainstMercer:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdext import DomainError
 from pdext.elliptic import mollifier
@@ -61,6 +63,18 @@ class TestThetaSpectrum:
         spec = solve_theta_spectrum(theta, 30)
         for n, lam in zip(spec.branches, spec.lambdas):
             assert theta + (2 * n - 1) * math.pi < lam < theta + (2 * n + 1) * math.pi
+
+
+@given(theta=st.floats(0.0, 2 * math.pi, exclude_max=True),
+       N=st.integers(1, 1000))
+@settings(max_examples=60, deadline=None)
+def test_theta_spectrum_property(theta, N):
+    spec = solve_theta_spectrum(theta, N)
+    assert np.max(spec.residuals) < 1e-10
+    assert np.all(np.diff(spec.lambdas) > 0)
+    n, lam = spec.branches, spec.lambdas
+    assert np.all(spec.theta + (2 * n - 1) * math.pi < lam)
+    assert np.all(lam < spec.theta + (2 * n + 1) * math.pi)
 
 
 class TestBoundaryCondition:
@@ -301,6 +315,17 @@ class TestDiscreteIsometry:
                                       kexp.measure, trials=5)
         assert not rep.passed and not rep.psd_ok
         assert rep.witness is not None
+
+    def test_asymmetric_measure_against_its_own_transform(self):
+        # Hermitian, non-real F = mu_hat: the Gram form must equal
+        # int |sum c_k e^{-i s_k l}|^2 dmu, i.e. mu_hat(s_j - s_k)
+        mu = SpectralMeasure(np.array([]), np.array([]),
+                             atoms=((-3.0, 0.25), (1.0, 0.5), (3.0, 0.25)))
+        rep = discrete_isometry_check([0.0, 0.2, 0.4],
+                                      lambda t: bochner_transform(mu, t), mu,
+                                      trials=50)
+        assert rep.passed and rep.psd_ok
+        assert rep.max_gap < 1e-14
 
 
 class TestOpenQuestionDiagnostics:
