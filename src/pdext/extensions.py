@@ -12,7 +12,9 @@ form of the same condition hides a branch choice, so all branches are
 bisected at once in the phase form and residuals are reported for the
 complex equation with the 2 pi n multiple removed exactly.
 
-Type-1 extensions: F_theta(x) = sum 2/(lam^2+3) e^{i lam x} over Lambda_theta.
+Type-1 extensions: F_theta = sum 2/(lam^2+3) e^{i lam x} is the ThetaExpansion
+of F_0 = e^{-x} over the orthogonal basis {e_lam : lam in Lambda_theta} of
+H_F, in which U(t) = e^{i t A_theta} acts diagonally.
 Type-2 family: G_r with exponential tails of rate r glued at |x| = 1.
 """
 
@@ -30,7 +32,8 @@ from .elliptic import bracketed_roots
 from .kernels import (EPS_PSD, DomainError, PdKernel, SpectralMeasure,
                       bochner_transform)
 from .quadrature import panel_nodes
-from .rkhs import Sampled, exp_basis_coefficients, sampled_from_callable
+from .rkhs import (Sampled, e_lambda_weights, exp_basis_coefficients, exp_sum,
+                   sampled_from_callable)
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +55,8 @@ class ThetaSpectrum:
         return len(self.lambdas)
 
     def weights(self) -> np.ndarray:
-        """ONB weights 2/(lam^2 + 3) = 1/||e_lam||^2."""
-        return 2.0 / (self.lambdas ** 2 + 3.0)
+        """ONB weights 1/||e_lam||^2."""
+        return e_lambda_weights(self.lambdas)
 
 
 def solve_theta_spectrum(theta: float, N: int) -> ThetaSpectrum:
@@ -103,12 +106,36 @@ def _tail_bound(theta: float, N: int) -> float:
 
 
 @dataclass(frozen=True)
-class TypeOneExtension:
-    """F_theta(x) = sum_{|n|<=N} w_n e^{i lam_n x}, w_n = 2/(lam_n^2+3);
-    restriction to (-1, 1) matches e^{-|x|} up to the tail bound."""
+class ThetaExpansion:
+    """Coefficients of an element over {e_lam : lam in Lambda_theta}:
+    h = sum_n c_n e_{lam_n}."""
+
+    spectrum: ThetaSpectrum
+    coeffs: np.ndarray
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        return self.spectrum.lambdas
+
+    def __call__(self, x) -> np.ndarray:
+        return exp_sum(self.lambdas, self.coeffs, np.atleast_1d(x))
+
+    def norm_sq(self) -> float:
+        return float(np.sum(np.abs(self.coeffs) ** 2 / self.spectrum.weights()))
+
+    def to_element(self, n: int = 2000) -> Sampled:
+        lams, cs = self.lambdas, self.coeffs
+        return sampled_from_callable(lambda x: exp_sum(lams, cs, x), 1.0, n=n,
+                                     dfn=lambda x: exp_sum(lams, 1j * lams * cs, x))
+
+
+@dataclass(frozen=True)
+class TypeOneExtension(ThetaExpansion):
+    """F_theta(x) = sum_{|n|<=N} w_n e^{i lam_n x}: the expansion of F_0 = e^{-x},
+    whose coefficients <e_lam, F_0>/||e_lam||^2 = e_lam(0)/||e_lam||^2 are the
+    weights w_n; restriction to (-1, 1) matches e^{-|x|} up to the tail bound."""
 
     theta: float
-    spectrum: ThetaSpectrum
     tail_bound: float
 
     @property
@@ -116,17 +143,8 @@ class TypeOneExtension:
         return int(np.max(self.spectrum.branches))
 
     @property
-    def lambdas(self) -> np.ndarray:
-        return self.spectrum.lambdas
-
-    @property
     def atom_weights(self) -> np.ndarray:
-        return self.spectrum.weights()
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        phases = np.exp(1j * np.outer(x.ravel(), self.lambdas))
-        return (phases @ self.atom_weights).reshape(x.shape)
+        return self.coeffs
 
     def restriction_error(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -137,63 +155,35 @@ class TypeOneExtension:
 
 def extend_type1(theta: float, N: int) -> TypeOneExtension:
     spec = solve_theta_spectrum(theta, N)
-    return TypeOneExtension(spec.theta, spec, _tail_bound(spec.theta, N))
+    return TypeOneExtension(spec, spec.weights(), spec.theta, _tail_bound(spec.theta, N))
 
 
 def extension_measure(ext: TypeOneExtension) -> SpectralMeasure:
-    """Purely atomic spectral measure sum 2/(lam^2+3) delta_lam; its Bochner
+    """Purely atomic spectral measure sum w_n delta_{lam_n}; its Bochner
     transform reproduces the truncated extension exactly."""
     atoms = tuple((float(l), float(w))
                   for l, w in zip(ext.lambdas, ext.atom_weights))
     return SpectralMeasure(np.array([]), np.array([]), atoms=atoms)
 
 
-def sample_via_spectrum(phi: Callable, ext: TypeOneExtension, x: float,
-                        n_panels: int = 256, gl_order: int = 6) -> complex:
-    """(T_F phi)(x) = 2 sum_n phihat(lam_n)/(lam_n^2+3) e^{i lam_n x} with
-    phihat(lam) = int_0^1 phi(y) e^{-i lam y} dy."""
-    if not (0.0 < x < 1.0):
+def sample_via_spectrum(phi: Callable, ext: TypeOneExtension, x,
+                        n_panels: int = 256, gl_order: int = 6):
+    """(T_F phi)(x) = sum_n w_n phihat(lam_n) e^{i lam_n x} with
+    phihat(lam) = int_0^1 phi(y) e^{-i lam y} dy; a complex number for a
+    point x, an array of the shape of x otherwise."""
+    xs = np.asarray(x, dtype=float)
+    if not np.all((0.0 < xs) & (xs < 1.0)):
         raise DomainError("sampling formula holds on (0, 1)")
     y, w = panel_nodes(0.0, 1.0, n_panels, gl_order)
-    phiv = phi(y) * w
-    phihat = (phiv[None, :] * np.exp(-1j * np.outer(ext.lambdas, y))).sum(axis=1)
-    return complex(np.sum(2.0 * phihat / (ext.lambdas ** 2 + 3.0)
-                          * np.exp(1j * ext.lambdas * x)))
+    # phihat(lam) = sum_j w_j phi(y_j) e^{i y_j (-lam)}: an exp_sum over the nodes y
+    phihat = exp_sum(y, phi(y) * w, -ext.lambdas)
+    out = exp_sum(ext.lambdas, ext.coeffs * phihat, xs)
+    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
 # unitary evolution in the e_lambda basis
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ThetaExpansion:
-    """Coefficients of an element over {e_lam : lam in Lambda_theta}:
-    h = sum_n c_n e_{lam_n}."""
-
-    spectrum: ThetaSpectrum
-    coeffs: np.ndarray
-
-    def __call__(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.exp(1j * np.outer(x, self.spectrum.lambdas)) @ self.coeffs
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2 / self.spectrum.weights()))
-
-    def to_element(self, n: int = 2000) -> Sampled:
-        lams = self.spectrum.lambdas
-        cs = self.coeffs
-
-        def make(coeffs):
-            def fn(x):
-                scalar = np.isscalar(x) or np.ndim(x) == 0
-                xv = np.atleast_1d(np.asarray(x, dtype=float))
-                out = np.exp(1j * np.outer(xv, lams)) @ coeffs
-                return out[0] if scalar else out
-            return fn
-
-        return sampled_from_callable(make(cs), 1.0, n=n, dfn=make(1j * lams * cs))
-
 
 def expand_in_theta_basis(h: Sampled, ext: TypeOneExtension) -> ThetaExpansion:
     """c_n = <e_n, h> / ||e_n||^2 by the Sobolev-form inner product."""
@@ -202,10 +192,12 @@ def expand_in_theta_basis(h: Sampled, ext: TypeOneExtension) -> ThetaExpansion:
 
 def unitary_evolve(h, t: float, ext: TypeOneExtension) -> ThetaExpansion:
     """U(t): multiply the n-th coefficient by e^{i lam_n t}.  Accepts either
-    a Sampled element (expanded first) or a ThetaExpansion."""
+    a Sampled element (expanded first) or a ThetaExpansion over ext's
+    spectrum; an expansion over another Lambda_theta raises."""
     exp_h = h if isinstance(h, ThetaExpansion) else expand_in_theta_basis(h, ext)
-    phases = np.exp(1j * ext.lambdas * t)
-    return ThetaExpansion(exp_h.spectrum, exp_h.coeffs * phases)
+    if not np.array_equal(exp_h.lambdas, ext.lambdas):
+        raise DomainError("the expansion and the extension have different spectra")
+    return ThetaExpansion(exp_h.spectrum, exp_h.coeffs * np.exp(1j * exp_h.lambdas * t))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,20 @@ class DomainError(ValueError):
     """Argument outside the kernel or measure domain."""
 
 
+def simpson_grid(grid) -> np.ndarray:
+    """The grid as floats; DomainError unless it is finite, strictly increasing
+    and uniform (spacings equal to 1e-9 relative), as Simpson's rule assumes."""
+    grid = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise DomainError("grid has non-finite points")
+    h = np.diff(grid)
+    if len(h) and np.min(h) <= 0:
+        raise DomainError("grid is not strictly increasing")
+    if len(h) and np.max(h) - np.min(h) > 1e-9 * np.mean(h):
+        raise DomainError("grid is not uniform")
+    return grid
+
+
 def _quiet_quad(f, a, b, **kw):
     """quad with the subdivision-cap warning silenced: slowly oscillating
     tails trip the cap while the returned estimate is already at the
@@ -96,7 +110,7 @@ class TailDescriptor:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Finite positive Borel measure: density on a symmetric grid plus atoms.
+    """Finite positive Borel measure: density on a uniform symmetric grid, atoms.
 
     ``density_fn``, when present, is the exact density used for tail
     corrections; the grid samples stay the canonical payload.
@@ -109,7 +123,7 @@ class SpectralMeasure:
     density_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = simpson_grid(self.grid)
         dens = np.asarray(self.density, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "density", dens)
@@ -294,8 +308,8 @@ def second_moment(measure: SpectralMeasure, cutoff: float) -> SecondMomentResult
 
 @dataclass(frozen=True)
 class MeasureOnInterval:
-    """Measure of bounded variation on [lo, hi]: density on a grid stored as
-    four nonnegative Jordan parts (re+, re-, im+, im-) plus complex atoms.
+    """Measure of bounded variation on [lo, hi]: uniform-grid density as four
+    nonnegative Jordan parts (re+, re-, im+, im-) plus complex atoms.
     ``density_fn`` optionally carries the exact density for quadrature."""
 
     interval: tuple[float, float]
@@ -306,7 +320,7 @@ class MeasureOnInterval:
 
     def __post_init__(self):
         lo, hi = self.interval
-        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
+        object.__setattr__(self, "grid", simpson_grid(self.grid))
         parts = tuple(np.asarray(p, dtype=float) for p in self.jordan)
         object.__setattr__(self, "jordan", parts)
         for p in parts:

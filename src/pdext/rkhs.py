@@ -25,8 +25,8 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
 from .kernels import (EXP_DESCRIPTOR, DomainError, MeasureOnInterval, PdKernel,
-                      descriptor_for_kernel)
-from .quadrature import cell_gl_layout, kernel_apply_on_grid, panel_nodes, simpson
+                      descriptor_for_kernel, simpson_grid)
+from .quadrature import cell_gl_layout, integrate, kernel_apply_on_grid, simpson
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class Sampled:
     kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
+        object.__setattr__(self, "grid", simpson_grid(self.grid))
         object.__setattr__(self, "values", np.asarray(self.values))
         if self.dvalues is not None:
             object.__setattr__(self, "dvalues", np.asarray(self.dvalues))
@@ -136,6 +136,19 @@ def complex_exponential(lam: float, a: float = 1.0, n: int = 2000) -> Sampled:
     return sampled_from_callable(fn, a, n=n, dfn=dfn)
 
 
+def e_lambda_weights(lams) -> np.ndarray:
+    """1/||e_lam||^2 = 2/(lam^2 + 3) for the exp kernel on [0, 1].
+    extensions._tail_bound's trigamma majorant of the excluded weights
+    assumes this form."""
+    return 2.0 / (np.asarray(lams, dtype=float) ** 2 + 3.0)
+
+
+def exp_sum(lams, coeffs, x) -> np.ndarray:
+    """sum_n c_n e^{i lam_n x}, with the shape of x."""
+    x = np.asarray(x, dtype=float)
+    return (np.exp(1j * np.outer(x, lams)) @ coeffs).reshape(x.shape)
+
+
 # ---------------------------------------------------------------------------
 # inner products
 # ---------------------------------------------------------------------------
@@ -176,15 +189,8 @@ def _l2_pair(h: Sampled, k: Sampled, use_deriv: bool, n_panels: int = 256,
     hf = h.dfn if use_deriv else h.fn
     kf = k.dfn if use_deriv else k.fn
     if hf is not None and kf is not None:
-        lo, hi = h.grid[0], h.grid[-1]
-        splits = sorted(set(h.kinks) | set(k.kinks))
-        edges = [lo] + [s for s in splits if lo < s < hi] + [hi]
-        total = 0.0 + 0.0j
-        for a, b in zip(edges[:-1], edges[1:]):
-            npan = max(2, int(np.ceil(n_panels * (b - a) / (hi - lo))))
-            x, w = panel_nodes(a, b, npan, m)
-            total += np.sum(w * np.conj(hf(x)) * kf(x))
-        return complex(total)
+        return complex(integrate(lambda x: np.conj(hf(x)) * kf(x), h.grid[0], h.grid[-1],
+                                 n_panels, m, split_points=set(h.kinks) | set(k.kinks)))
     if len(h.grid) != len(k.grid) or not np.allclose(h.grid, k.grid):
         raise ValueError("sampled elements live on different grids")
     hv = h.dvalues if use_deriv else h.values
@@ -210,12 +216,11 @@ def exp_norm_sq(h: Sampled) -> float:
 
 
 def exp_basis_coefficients(h: Sampled, lambdas: Sequence[float]) -> np.ndarray:
-    """c_n = <e_n, h> / ||e_n||^2 over e_n = e^{i lam_n x} on [0, 1], with the
-    exp kernel's ||e_lam||^2 = (lam^2 + 3)/2."""
+    """c_n = <e_n, h> / ||e_n||^2 over e_n = e^{i lam_n x} on [0, 1]."""
     lambdas = np.asarray(lambdas, dtype=float)
     inner = [exp_inner_product(complex_exponential(lam, 1.0, n=len(h.grid) - 1), h)
              for lam in lambdas]
-    return np.asarray(inner, dtype=complex) / (0.5 * (lambdas ** 2 + 3.0))
+    return np.asarray(inner, dtype=complex) * e_lambda_weights(lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +372,19 @@ def element_from_measure(mu: MeasureOnInterval, kernel: PdKernel,
     return Sampled(grid, values, dvalues, bd)
 
 
+def _e_lambda_mixture(lams, coeffs, n: int) -> MeasureOnInterval:
+    """sum_n c_n mu_{lam_n} (see e_lambda_measure) on a uniform n-point grid
+    of [0, 1]; its density is also its density_fn."""
+    lams = np.asarray(lams, dtype=float)
+    halves = coeffs * 0.5 * (1.0 + lams ** 2)
+    density_fn = lambda y: exp_sum(lams, halves, y)
+    atoms = ((0.0, complex(np.sum(coeffs * 0.5 * (1.0 - 1j * lams)))),
+             (1.0, complex(np.sum(coeffs * 0.5 * (1.0 + 1j * lams) * np.exp(1j * lams)))))
+    grid = np.linspace(0.0, 1.0, n)
+    return MeasureOnInterval.from_density((0.0, 1.0), grid, density_fn(grid), atoms,
+                                          density_fn=density_fn)
+
+
 def e_lambda_measure(lam: float, n: int = 2001) -> MeasureOnInterval:
     """The measure mu_lambda with F_{mu_lambda} = e^{i lambda x} for the exp
     kernel on (0, 1):
@@ -379,14 +397,7 @@ def e_lambda_measure(lam: float, n: int = 2001) -> MeasureOnInterval:
     endpoint weights; the positive sign in the delta_1 exponent is forced.)
     Total variation (1+lam^2)/2 + sqrt(1+lam^2).
     """
-    grid = np.linspace(0.0, 1.0, n)
-    half = 0.5 * (1.0 + lam * lam)
-    dens = half * np.exp(1j * lam * grid)
-    atoms = ((0.0, 0.5 * (1.0 - 1j * lam)),
-             (1.0, 0.5 * (1.0 + 1j * lam) * np.exp(1j * lam)))
-    return MeasureOnInterval.from_density(
-        (0.0, 1.0), grid, dens, atoms,
-        density_fn=lambda y: half * np.exp(1j * lam * np.asarray(y, dtype=float)))
+    return _e_lambda_mixture(np.array([lam]), np.array([1.0]), n)
 
 
 def element_measure_expansion(h: Sampled, lambdas: Sequence[float], kernel: PdKernel,
@@ -397,23 +408,7 @@ def element_measure_expansion(h: Sampled, lambdas: Sequence[float], kernel: PdKe
     descriptor (1/2)(1 + xi^2) and its Robin rows; other kernels raise."""
     if descriptor_for_kernel(kernel) != EXP_DESCRIPTOR:
         raise DomainError("measure expansion needs the exp kernel's elliptic descriptor")
-    lambdas = np.asarray(lambdas, dtype=float)
-    coeffs = exp_basis_coefficients(h, lambdas)
-    grid = np.linspace(0.0, 1.0, n)
-    halves = 0.5 * (1.0 + lambdas ** 2)
-    dens = (coeffs * halves)[None, :] * np.exp(1j * np.outer(grid, lambdas))
-    density = dens.sum(axis=1)
-    w0 = complex(np.sum(coeffs * 0.5 * (1.0 - 1j * lambdas)))
-    w1 = complex(np.sum(coeffs * 0.5 * (1.0 + 1j * lambdas) * np.exp(1j * lambdas)))
-    ch = coeffs * halves
-
-    def fn(y):
-        y = np.asarray(y, dtype=float)
-        flat = (ch[None, :] * np.exp(1j * np.outer(y.ravel(), lambdas))).sum(axis=1)
-        return flat.reshape(y.shape)
-
-    return MeasureOnInterval.from_density((0.0, 1.0), grid, density,
-                                          ((0.0, w0), (1.0, w1)), density_fn=fn)
+    return _e_lambda_mixture(lambdas, exp_basis_coefficients(h, lambdas), n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,101 @@
+"""The e_lambda basis over Lambda_theta: one weight, one exponential sum, one
+mu_lambda formula, and F_theta as the Lambda_theta expansion of F_0 = e^{-x}."""
+
+import numpy as np
+import pytest
+
+from pdext import DomainError
+from pdext.elliptic import mollifier
+from pdext.extensions import (ThetaExpansion, expand_in_theta_basis, extend_type1,
+                              sample_via_spectrum, unitary_evolve)
+from pdext.rkhs import (complex_exponential, e_lambda_measure, e_lambda_weights,
+                        element_measure_expansion, exp_basis_coefficients,
+                        sampled_from_callable)
+
+
+def f0():
+    return sampled_from_callable(lambda x: np.exp(-x), 1.0, dfn=lambda x: -np.exp(-x))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.8, 6.0])
+@pytest.mark.parametrize("N", [4, 20, 60])
+def test_f0_coefficients_are_the_weights(theta, N):
+    # <e_lam, F_0> = e_lam(0) by the reproducing property
+    lams = extend_type1(theta, N).lambdas
+    c = exp_basis_coefficients(f0(), lams)
+    assert np.max(np.abs(c - e_lambda_weights(lams))) < 1e-15
+
+
+@pytest.mark.parametrize("theta, N", [(0.0, 4), (0.8, 50), (6.0, 100)])
+def test_extension_is_the_expansion_of_its_weights(theta, N):
+    ext = extend_type1(theta, N)
+    assert isinstance(ext, ThetaExpansion)
+    xs = np.linspace(-4.0, 4.0, 401)
+    assert np.array_equal(ext(xs), ThetaExpansion(ext.spectrum, ext.spectrum.weights())(xs))
+    assert np.array_equal(ext.atom_weights, ext.coeffs)
+
+
+def test_expansion_keeps_the_shape_of_x():
+    ext = extend_type1(0.8, 10)
+    pts = np.linspace(-2.0, 2.0, 6)
+    G = ext(pts[:, None] - pts[None, :])
+    assert G.shape == (6, 6)
+    assert np.array_equal(G[2], ext(pts[2] - pts))
+    assert ext(0.5).shape == (1,)
+
+
+def test_sample_on_an_array_matches_pointwise_calls():
+    ext = extend_type1(0.8, 60)
+    f, _, _ = mollifier(0.5, 0.3)
+    xs = np.linspace(0.05, 0.95, 19)
+    batch = sample_via_spectrum(f, ext, xs)
+    single = np.array([sample_via_spectrum(f, ext, float(x)) for x in xs])
+    assert isinstance(sample_via_spectrum(f, ext, 0.5), complex)
+    assert batch.shape == xs.shape
+    assert np.max(np.abs(batch - single)) < 1e-15
+
+
+def test_sample_refuses_points_outside_the_interval():
+    ext = extend_type1(0.0, 10)
+    f, _, _ = mollifier(0.5, 0.3)
+    with pytest.raises(DomainError):
+        sample_via_spectrum(f, ext, np.array([0.2, 1.0]))
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.5, -7.0])
+def test_e_lambda_measure_is_the_one_term_expansion(kexp, lam):
+    one = e_lambda_measure(lam)
+    e = complex_exponential(lam, 1.0)
+    mix = element_measure_expansion(e, [lam], kexp)
+    assert np.array_equal(one.grid, mix.grid)
+    assert np.max(np.abs(one.density - mix.density)) < 1e-12 * (1 + lam * lam)
+    ys = np.linspace(0.0, 1.0, 36).reshape(3, 12)
+    assert np.max(np.abs(one.density_fn(ys) - mix.density_fn(ys))) < 1e-12 * (1 + lam * lam)
+    for (loc_a, w_a), (loc_b, w_b) in zip(one.atoms, mix.atoms):
+        assert loc_a == loc_b and abs(w_a - w_b) < 1e-12 * (1 + abs(lam))
+
+
+class TestUnitaryEvolveSpectrum:
+    def test_refuses_an_expansion_over_another_spectrum(self):
+        eh = expand_in_theta_basis(f0(), extend_type1(0.8, 20))
+        with pytest.raises(DomainError):
+            unitary_evolve(eh, 0.3, extend_type1(2.0, 20))
+
+    def test_refuses_another_truncation(self):
+        eh = expand_in_theta_basis(f0(), extend_type1(0.8, 20))
+        with pytest.raises(DomainError):
+            unitary_evolve(eh, 0.3, extend_type1(0.8, 21))
+
+    def test_evolves_with_the_expansion_own_lambdas(self):
+        ext = extend_type1(0.8, 20)
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal(41) + 1j * rng.standard_normal(41)
+        u = unitary_evolve(ThetaExpansion(extend_type1(0.8, 20).spectrum, c), 0.7, ext)
+        assert np.array_equal(u.coeffs, c * np.exp(1j * ext.lambdas * 0.7))
+
+    def test_evolving_f_theta_is_evolving_f0(self):
+        # F_theta is F_0's expansion, so U(t) applies to it directly
+        ext = extend_type1(0.8, 30)
+        a = unitary_evolve(ext, 1.1, ext)
+        b = unitary_evolve(ThetaExpansion(ext.spectrum, ext.coeffs), 1.1, ext)
+        assert np.array_equal(a.coeffs, b.coeffs)
