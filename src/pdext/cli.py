@@ -58,8 +58,8 @@ def _emit(rows, header, args, extra_json=None) -> None:
     else:
         payload = {"header": header,
                    "rows": [[v if isinstance(v, (str, int)) else
-                             (complex(v).real if abs(complex(v).imag) == 0 else
-                              {"re": complex(v).real, "im": complex(v).imag})
+                             ({"re": complex(v).real, "im": complex(v).imag}
+                              if np.iscomplexobj(v) else float(v))
                              for v in row] for row in rows]}
         if extra_json:
             payload.update(extra_json)

@@ -56,6 +56,15 @@ class OnbElement:
         return 1.0 / math.sqrt(self.unnormalized_norm_sq)
 
 
+def _seed(kernel: PdKernel) -> tuple[float, float]:
+    """F(a) and 1 - F(a)^2, the squared norm of the unnormalized h_1; F(0) != 1 raises."""
+    F0 = float(kernel(0.0))
+    if abs(F0 - 1.0) > 1e-12:
+        raise DomainError(f"the dyadic ONB formulas assume F(0) = 1, not {F0!r}")
+    Fa = float(kernel(kernel.half_width))
+    return Fa, 1.0 - Fa * Fa
+
+
 def _level_data(kernel: PdKernel, n: int):
     a = kernel.half_width
     d = a / 2 ** n
@@ -69,11 +78,9 @@ def _level_data(kernel: PdKernel, n: int):
 
 def level_norm_sq(kernel: PdKernel, n: int, k: int = 1) -> float:
     """Closed-form squared H_F norm of the unnormalized basis vector."""
+    _, seed_sq = _seed(kernel)
     if n == 0:
-        if k == 0:
-            return float(kernel(0.0))
-        Fa = float(kernel(kernel.half_width))
-        return 1.0 - Fa * Fa
+        return float(kernel(0.0)) if k == 0 else seed_sq
     return _level_data(kernel, n)[2]
 
 
@@ -81,10 +88,9 @@ def build_onb(kernel: PdKernel, depth: int) -> list[OnbElement]:
     """ONB elements through the given level; aborts when a level's sections
     become (numerically) linearly dependent."""
     a = kernel.half_width
+    Fa, nsq = _seed(kernel)
     out = [OnbElement(DyadicIndex(0, 0), KernelCombo(((1.0, 0.0),)), float(kernel(0.0)))]
     if depth >= 0:
-        Fa = float(kernel(a))
-        nsq = 1.0 - Fa * Fa
         if nsq < 1e-12:
             raise DomainError("sections F_0, F_a are linearly dependent")
         s = 1.0 / math.sqrt(nsq)
@@ -135,10 +141,10 @@ def expand(f: Callable, kernel: PdKernel, depth: int) -> ExpansionCoefficients:
     """Expansion coefficients of f over the dyadic ONB; c_{n,k} touches f
     only at the three points (k -+ 1) a/2^n, k a/2^n."""
     a = kernel.half_width
+    Fa, seed_sq = _seed(kernel)
     f0 = complex(f(0.0))
     fa = complex(f(a))
-    Fa = float(kernel(a))
-    c1 = (fa - Fa * f0) / math.sqrt(1.0 - Fa * Fa)
+    c1 = (fa - Fa * f0) / math.sqrt(seed_sq)
     levels = []
     for n in range(1, depth + 1):
         d, cn, nsq = _level_data(kernel, n)

@@ -58,13 +58,11 @@ def bracketed_roots(f, lo, hi) -> np.ndarray:
     return np.where(np.abs(fhi) < np.abs(flo), hi, lo)
 
 
-def solve_transcendental(spec: TranscendentalSpec, count: int,
-                         scan_step: float = 0.01,
-                         max_k: float = 1e4) -> np.ndarray:
-    """First ``count`` positive roots: a vectorized sign-change scan in blocks,
-    each block's brackets refined together by ``bracketed_roots``.  Roots that
-    are not simple (|f'| < 1e-8) or whose normalized residual exceeds 1e-12
-    raise DomainError."""
+def solve_transcendental(spec: TranscendentalSpec, count: int) -> np.ndarray:
+    """First ``count`` positive roots: a vectorized sign-change scan in steps
+    of 0.01 and blocks of 20000 steps, each block's brackets refined together
+    by ``bracketed_roots``.  Roots that are not simple (|f'| < 1e-8), whose
+    normalized residual exceeds 1e-12, or beyond k = 1e4 raise DomainError."""
     if count < 1:
         raise DomainError("count must be >= 1")
     roots: list[np.ndarray] = []
@@ -73,9 +71,9 @@ def solve_transcendental(spec: TranscendentalSpec, count: int,
     lo = spec.k_min
     block = 20000
     while found < count:
-        if lo > max_k:
+        if lo > 1e4:
             raise DomainError("root window exhausted")
-        ks = lo + scan_step * np.arange(block + 1)
+        ks = lo + 0.01 * np.arange(block + 1)
         vals = np.asarray(f(ks))
         i = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0][:count - found]
         r = bracketed_roots(f, ks[i], ks[i + 1])
@@ -104,9 +102,9 @@ class MercerMatchReport:
 
 
 def verify_against_mercer(spec: TranscendentalSpec, dec: MercerDecomposition,
-                          N: int, rtol: float = 1e-3) -> MercerMatchReport:
+                          N: int) -> MercerMatchReport:
     """Match the top N Nystrom eigenvalues with mapped transcendental roots;
-    eigenvalues with no root within rtol are reported, not hidden."""
+    eigenvalues with no root within 1e-3 relative are reported, not hidden."""
     roots = solve_transcendental(spec, max(2 * N + 8, 16))
     mapped = spec.mercer_map(roots)
     order = np.argsort(mapped)[::-1]
@@ -117,7 +115,7 @@ def verify_against_mercer(spec: TranscendentalSpec, dec: MercerDecomposition,
         lam = dec.eigenvalues[i]
         j = int(np.argmin(np.abs(mapped - lam)))
         rel = abs(mapped[j] - lam) / lam
-        if rel < rtol:
+        if rel < 1e-3:
             matched.append((i, float(lam), float(roots[j]), float(mapped[j]),
                             float(rel)))
             worst = max(worst, rel)
@@ -157,8 +155,7 @@ class DeltaCheckRow:
     error: float
 
 
-def distributional_derivative_check(kernel: PdKernel, test_functions,
-                                    n_panels: int = 600, gl_order: int = 8):
+def distributional_derivative_check(kernel: PdKernel, test_functions):
     """Verify the delta identity of the descriptor P(xi) = c0 + c2 xi^2,
     c0 T_F - c2 (T_F)'' = delta_0 in distributions:
 
@@ -169,8 +166,8 @@ def distributional_derivative_check(kernel: PdKernel, test_functions,
     c0, _, c2 = descriptor_for_kernel(kernel).poly_coeffs
     a = kernel.half_width
     rows = []
+    x, w = panel_nodes(-a, a, 600, 8)
     for psi, dpsi, d2psi, center, width in test_functions:
-        x, w = panel_nodes(-a, a, n_panels, gl_order)
         # keep the kernel kink at 0 on a panel edge
         neg = x < 0
         lhs = float(np.sum(w[neg] * kernel(x[neg]) * d2psi(x[neg])) +
@@ -263,7 +260,7 @@ class OperatorBoundReport:
 
 
 def bspline_operator_bound(k: int, trials: int = 50, seed: int = 0,
-                           a: float = 0.5, tol: float = 1e-6) -> OperatorBoundReport:
+                           a: float = 0.5) -> OperatorBoundReport:
     """Estimate ||D F_phi||^2 / ||F_phi||^2 for the sinc^k kernel through the
     spectral form int u^2 |phihat|^2 dmu_k / int |phihat|^2 dmu_k, where
     mu_k is the box autoconvolution B^{*k} and phihat is the Fourier
@@ -295,7 +292,7 @@ def bspline_operator_bound(k: int, trials: int = 50, seed: int = 0,
         ratios[t] = num / den
     bound = (0.5 * k) ** 2
     return OperatorBoundReport(k, bound, ratios,
-                               bool(np.all(ratios <= bound + tol)))
+                               bool(np.all(ratios <= bound + 1e-6)))
 
 
 @dataclass(frozen=True)
@@ -307,14 +304,14 @@ class SupportReport:
     passed: bool
 
 
-def support_check(k: int, n: int = 20001) -> SupportReport:
+def support_check(k: int) -> SupportReport:
     """Confirm B^{*k} vanishes outside [-k/2, k/2] and agrees with a direct
     numerical autoconvolution of the box indicator (compared away from the
     breakpoints -k/2 + j, where the k = 1 indicator jumps)."""
     if k < 1:
         raise DomainError("k must be >= 1")
     half = 0.5 * k
-    u = np.linspace(-half - 2.0, half + 2.0, n)
+    u = np.linspace(-half - 2.0, half + 2.0, 20001)
     vals = bspline_autoconvolution(k, u)
     outside = np.abs(u) > half + 1e-9
     max_out = float(np.max(np.abs(vals[outside]))) if np.any(outside) else 0.0

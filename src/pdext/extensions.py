@@ -31,7 +31,7 @@ from scipy.special import polygamma
 from .elliptic import bracketed_roots
 from .kernels import (EPS_PSD, DomainError, PdKernel, SpectralMeasure,
                       bochner_transform)
-from .quadrature import panel_nodes
+from .quadrature import GL_POINTS, UNIT_PANELS, panel_nodes
 from .rkhs import (Sampled, e_lambda_weights, exp_basis_coefficients, exp_sum,
                    sampled_from_callable)
 
@@ -166,15 +166,14 @@ def extension_measure(ext: TypeOneExtension) -> SpectralMeasure:
     return SpectralMeasure(np.array([]), np.array([]), atoms=atoms)
 
 
-def sample_via_spectrum(phi: Callable, ext: TypeOneExtension, x,
-                        n_panels: int = 256, gl_order: int = 6):
+def sample_via_spectrum(phi: Callable, ext: TypeOneExtension, x):
     """(T_F phi)(x) = sum_n w_n phihat(lam_n) e^{i lam_n x} with
     phihat(lam) = int_0^1 phi(y) e^{-i lam y} dy; a complex number for a
     point x, an array of the shape of x otherwise."""
     xs = np.asarray(x, dtype=float)
     if not np.all((0.0 < xs) & (xs < 1.0)):
         raise DomainError("sampling formula holds on (0, 1)")
-    y, w = panel_nodes(0.0, 1.0, n_panels, gl_order)
+    y, w = panel_nodes(0.0, 1.0, UNIT_PANELS, GL_POINTS)
     # phihat(lam) = sum_j w_j phi(y_j) e^{i y_j (-lam)}: an exp_sum over the nodes y
     phihat = exp_sum(y, phi(y) * w, -ext.lambdas)
     out = exp_sum(ext.lambdas, ext.coeffs * phihat, xs)
@@ -339,9 +338,8 @@ class TypeTwoExtension:
         total /= 2.0 * np.pi
         return total + sum(w for _, w in self.atoms)  # atoms sit at l = 0
 
-    def density_min_on_grid(self, L: float = 200.0, n: int = 40001) -> float:
-        lam = np.linspace(-L, L, n)
-        return float(np.min(self.density(lam)))
+    def density_min_on_grid(self) -> float:
+        return float(np.min(self.density(np.linspace(-200.0, 200.0, 40001))))
 
 
 def g_r_extension(r: float) -> TypeTwoExtension:
@@ -363,7 +361,7 @@ class IsometryReport:
 
 def discrete_isometry_check(S: Sequence[float], F_vals: Callable,
                             mu: SpectralMeasure, trials: int = 100,
-                            tol: float = 1e-6, seed: int = 0) -> IsometryReport:
+                            tol: float = 1e-6) -> IsometryReport:
     """Compare the Gram quadratic form sum conj(c_j) c_k F(s_j - s_k) with
     int |sum c_k e^{-i s_k l}|^2 dmu = sum conj(c_j) c_k mu_hat(s_j - s_k)
     over random coefficient vectors.
@@ -384,7 +382,7 @@ def discrete_isometry_check(S: Sequence[float], F_vals: Callable,
         return IsometryReport(False, math.inf, np.array([]), False,
                               witness=evecs[:, 0])
     mu_hat = np.asarray([bochner_transform(mu, d) for d in diffs])[inverse]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     gaps = np.empty(trials)
     for t in range(trials):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -29,9 +29,12 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicHermiteSpline
 
-from .quadrature import exp_kernel_apply, integrate, poly_abs_kernel_apply, simpson
+from .quadrature import GL_POINTS, exp_kernel_apply, integrate, poly_abs_kernel_apply, simpson
 
 EPS_PSD = 1e-9
+
+# grid points of the built-in measures on an interval (Lebesgue, uniform, mu_lambda)
+MEASURE_GRID_POINTS = 2001
 
 # QUADPACK upper limit used when correcting power-law tails of densities
 _TAIL_INF = np.inf
@@ -346,16 +349,15 @@ class MeasureOnInterval:
                                  (np.array([]),) * 4, ((float(x), 1.0 + 0.0j),))
 
     @staticmethod
-    def lebesgue(interval, n: int = 2001) -> "MeasureOnInterval":
-        lo, hi = interval
-        grid = np.linspace(lo, hi, n)
-        return MeasureOnInterval.from_density(interval, grid, np.ones(n))
+    def lebesgue(interval) -> "MeasureOnInterval":
+        grid = np.linspace(*interval, MEASURE_GRID_POINTS)
+        return MeasureOnInterval.from_density(interval, grid, np.ones_like(grid))
 
     @staticmethod
-    def uniform_probability(interval, n: int = 2001) -> "MeasureOnInterval":
+    def uniform_probability(interval) -> "MeasureOnInterval":
         lo, hi = interval
-        grid = np.linspace(lo, hi, n)
-        return MeasureOnInterval.from_density(interval, grid, np.full(n, 1.0 / (hi - lo)))
+        grid = np.linspace(lo, hi, MEASURE_GRID_POINTS)
+        return MeasureOnInterval.from_density(interval, grid, np.full_like(grid, 1.0 / (hi - lo)))
 
     @property
     def density(self) -> np.ndarray:
@@ -455,9 +457,8 @@ class EllipticDescriptor:
             out += c * xi ** j
         return out
 
-    def is_nonnegative(self, xi_max: float = 50.0, n: int = 2001) -> bool:
-        xi = np.linspace(-xi_max, xi_max, n)
-        return bool(np.min(self.poly(xi)) >= -1e-12)
+    def is_nonnegative(self) -> bool:
+        return bool(np.min(self.poly(np.linspace(-50.0, 50.0, 2001))) >= -1e-12)
 
     def boundary_residuals(self, h0, dh0, ha, dha) -> tuple[float, ...]:
         """|row . (h(0), h'(0), h(a), h'(a))| for each boundary row."""
@@ -498,7 +499,6 @@ class PdKernel:
     half_width: float
     evaluate: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
-    value_at_zero: float = 1.0
     deriv_at_zero: tuple[float, float] = (0.0, 0.0)   # (left, right) limits
     measure: Optional[SpectralMeasure] = None
     fast_apply: Optional[Callable] = None
@@ -521,9 +521,9 @@ class PdKernel:
         return self.derivative(np.clip(x, -self.half_width, self.half_width))
 
 
-def _cauchy_measure(L: float = 200.0, n: int = 20001) -> SpectralMeasure:
+def _cauchy_measure() -> SpectralMeasure:
     fn = lambda l: 1.0 / (np.pi * (1.0 + l * l))
-    grid = np.linspace(-L, L, n)
+    grid = np.linspace(-200.0, 200.0, 20001)
     return SpectralMeasure(grid, fn(grid), tail=TailDescriptor(2.0, 1.0 / np.pi),
                            density_fn=fn)
 
@@ -670,7 +670,6 @@ def tabulated_kernel(x: Sequence[float], F: Sequence[float],
         return np.sign(t) * dspl(np.abs(t))
 
     return PdKernel(family="table", half_width=a, evaluate=ev, derivative=dv,
-                    value_at_zero=float(F[0]),
                     deriv_at_zero=(-float(dF[0]), float(dF[0])))
 
 
@@ -741,9 +740,8 @@ class PsdReport:
 
 
 def check_positive_definite(kernel: PdKernel, n_points: int = 12,
-                            trials: int = 50, seed: int = 0,
-                            eps: float = EPS_PSD) -> PsdReport:
-    """Random-Gram positive semidefiniteness probe on [0, a]."""
+                            trials: int = 50, seed: int = 0) -> PsdReport:
+    """Random-Gram positive semidefiniteness probe on [0, a]; fails below -EPS_PSD."""
     if n_points < 2:
         raise DomainError("n_points must be >= 2")
     rng = np.random.default_rng(seed)
@@ -753,9 +751,9 @@ def check_positive_definite(kernel: PdKernel, n_points: int = 12,
         pts = rng.uniform(0.0, kernel.half_width, size=n_points)
         vals, vecs = np.linalg.eigh(gram_matrix(kernel, pts))
         mins[t] = vals[0]
-        if vals[0] < -eps and witness is None:
+        if vals[0] < -EPS_PSD and witness is None:
             witness = vecs[:, 0]
-    return PsdReport(bool(np.all(mins >= -eps)), mins, float(np.min(mins)), witness)
+    return PsdReport(bool(np.all(mins >= -EPS_PSD)), mins, float(np.min(mins)), witness)
 
 
 def deficiency_indices(kernel: PdKernel) -> tuple[int, int]:
@@ -772,8 +770,7 @@ def deficiency_indices(kernel: PdKernel) -> tuple[int, int]:
     raise DomainError("second-moment verdict is indeterminate for this measure")
 
 
-def concentration(mu: MeasureOnInterval, n_panels: int = 400,
-                  gl_order: int = 6) -> tuple[float, float]:
+def concentration(mu: MeasureOnInterval) -> tuple[float, float]:
     """Degree of concentration q(mu) = double integral of e^{-|x-y|} d mu d mu
     and dispersion -log q, for probability measures."""
     mass = mu.total_mass()
@@ -795,10 +792,10 @@ def concentration(mu: MeasureOnInterval, n_panels: int = 400,
         # atom x density (both orders)
         for xa, wa in atoms:
             v = integrate(lambda y: np.exp(-np.abs(xa - y)) * rho_fn(y),
-                          lo, hi, n_panels=n_panels, m=gl_order, split_points=(xa,))
+                          lo, hi, n_panels=400, m=GL_POINTS, split_points=(xa,))
             q += 2.0 * wa * v.real if isinstance(v, complex) else 2.0 * wa * v
         # density x density with the kink split at the inner variable
-        inner, _ = exp_kernel_apply(grid, rho_fn, m=gl_order)
+        inner, _ = exp_kernel_apply(grid, rho_fn, m=GL_POINTS)
         q += float(simpson(inner * rho, grid))
     q = float(q)
     if not (0.0 < q <= 1.0 + 1e-9):

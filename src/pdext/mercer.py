@@ -185,8 +185,7 @@ class GreensInverseResult:
 
 def greens_inverse_apply(grid, values: Optional[np.ndarray] = None,
                          dvalues: Optional[np.ndarray] = None,
-                         kernel: Union[PdKernel, str] = "exp",
-                         bc_tol: float = 1e-6) -> GreensInverseResult:
+                         kernel: Union[PdKernel, str] = "exp") -> GreensInverseResult:
     """Invert T_F on its range through the kernel's elliptic descriptor
     P(xi) = c0 + c2 xi^2: phi = P(-i d/dx) f = c0 f - c2 f'', with f'' by
     4th-order differences on the interior grid (exp: (f - f'')/2, triangle:
@@ -196,8 +195,8 @@ def greens_inverse_apply(grid, values: Optional[np.ndarray] = None,
     without a descriptor raises DomainError.  Accepts either (grid, values,
     dvalues) arrays or a Sampled element as the first argument.  With
     derivative samples, the descriptor's boundary rows are applied to
-    (f(0), f'(0), f(a), f'(a)); their residuals are checked and flagged,
-    not enforced.
+    (f(0), f'(0), f(a), f'(a)); residuals above 1e-6 max(1, max|f|) are
+    flagged, not enforced.
     """
     if isinstance(kernel, str):
         kernel = kernel_from_name(kernel)
@@ -216,4 +215,4 @@ def greens_inverse_apply(grid, values: Optional[np.ndarray] = None,
                                    (np.nan,) * len(desc.boundary_rows))
     res = desc.boundary_residuals(values[0], dvalues[0], values[-1], dvalues[-1])
     scale = max(1.0, float(np.max(np.abs(values))))
-    return GreensInverseResult(grid[2:-2], phi, all(r < bc_tol * scale for r in res), res)
+    return GreensInverseResult(grid[2:-2], phi, all(r < 1e-6 * scale for r in res), res)

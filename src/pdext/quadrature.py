@@ -17,6 +17,13 @@ _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 # float64 temporary)
 _BLOCK_ENTRIES = 2 ** 18
 
+# Gauss-Legendre points per cell of the smoothing transforms, the [0, 1]
+# rule below and the concentration functional
+GL_POINTS = 6
+# panels of the [0, 1] rule of the exp inner products and the sampling formula;
+# it resolves e^{i lam x} to 1e-12 up to |lam| = 2 UNIT_PANELS
+UNIT_PANELS = 256
+
 
 def gl_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1], cached."""
@@ -27,13 +34,8 @@ def gl_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def panel_nodes(a: float, b: float, n_panels: int, m: int = 4):
     """Nodes and weights of composite m-point Gauss-Legendre on [a, b]."""
-    t, w = gl_rule(m)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * t[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    nodes, weights = cell_gl_layout(np.linspace(a, b, n_panels + 1), m)
+    return nodes.ravel(), weights.ravel()
 
 
 def integrate(f, a: float, b: float, n_panels: int = 64, m: int = 6,

@@ -24,9 +24,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .kernels import (EXP_DESCRIPTOR, DomainError, MeasureOnInterval, PdKernel,
-                      descriptor_for_kernel, simpson_grid)
-from .quadrature import cell_gl_layout, integrate, kernel_apply_on_grid, simpson
+from .kernels import (EXP_DESCRIPTOR, MEASURE_GRID_POINTS, DomainError,
+                      MeasureOnInterval, PdKernel, descriptor_for_kernel, simpson_grid)
+from .quadrature import (GL_POINTS, UNIT_PANELS, integrate, kernel_apply_on_grid,
+                         panel_nodes, simpson)
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,7 @@ def inner_product_combo(a: KernelCombo, b: KernelCombo, kernel: PdKernel) -> com
     return complex(combo_gram([a, b], kernel)[0, 1])
 
 
-def _l2_pair(h: Sampled, k: Sampled, use_deriv: bool, n_panels: int = 256,
-             m: int = 6) -> complex:
+def _l2_pair(h: Sampled, k: Sampled, use_deriv: bool) -> complex:
     """int conj(h) k (or conj(h') k') over the grid span; composite GL when
     both sides carry callables (panels split at declared kinks), Simpson on
     the shared grid otherwise."""
@@ -190,7 +190,7 @@ def _l2_pair(h: Sampled, k: Sampled, use_deriv: bool, n_panels: int = 256,
     kf = k.dfn if use_deriv else k.fn
     if hf is not None and kf is not None:
         return complex(integrate(lambda x: np.conj(hf(x)) * kf(x), h.grid[0], h.grid[-1],
-                                 n_panels, m, split_points=set(h.kinks) | set(k.kinks)))
+                                 UNIT_PANELS, GL_POINTS, split_points=set(h.kinks) | set(k.kinks)))
     if len(h.grid) != len(k.grid) or not np.allclose(h.grid, k.grid):
         raise ValueError("sampled elements live on different grids")
     hv = h.dvalues if use_deriv else h.values
@@ -216,8 +216,12 @@ def exp_norm_sq(h: Sampled) -> float:
 
 
 def exp_basis_coefficients(h: Sampled, lambdas: Sequence[float]) -> np.ndarray:
-    """c_n = <e_n, h> / ||e_n||^2 over e_n = e^{i lam_n x} on [0, 1]."""
+    """c_n = <e_n, h> / ||e_n||^2 over e_n = e^{i lam_n x} on [0, 1]; |lam|
+    above 2 UNIT_PANELS, beyond the resolution of the [0, 1] rule, raises."""
     lambdas = np.asarray(lambdas, dtype=float)
+    if np.any(np.abs(lambdas) > 2 * UNIT_PANELS):
+        raise DomainError(f"|lambda| = {np.max(np.abs(lambdas)):.6g} above {2 * UNIT_PANELS}, "
+                          "where the [0, 1] quadrature no longer resolves e_lambda")
     inner = [exp_inner_product(complex_exponential(lam, 1.0, n=len(h.grid) - 1), h)
              for lam in lambdas]
     return np.asarray(inner, dtype=complex) * e_lambda_weights(lambdas)
@@ -227,16 +231,16 @@ def exp_basis_coefficients(h: Sampled, lambdas: Sequence[float]) -> np.ndarray:
 # the smoothing transform F_phi = T_F phi
 # ---------------------------------------------------------------------------
 
-def _apply(kernel: PdKernel, grid, g, m: int, deriv: bool = True):
+def _apply(kernel: PdKernel, grid, g, deriv: bool = True):
     """(T_F g, (T_F g)') on the grid: the kernel's fast apply when attached,
     else kink-split dense quadrature (the derivative only when asked for)."""
     if kernel.fast_apply is not None:
-        return kernel.fast_apply(grid, g, m=m)
-    values = kernel_apply_on_grid(kernel, grid, g, m=m)
-    return values, kernel_apply_on_grid(kernel.deriv, grid, g, m=m) if deriv else None
+        return kernel.fast_apply(grid, g, m=GL_POINTS)
+    values = kernel_apply_on_grid(kernel, grid, g, m=GL_POINTS)
+    return values, kernel_apply_on_grid(kernel.deriv, grid, g, m=GL_POINTS) if deriv else None
 
 
-def smooth(phi, kernel: PdKernel, n: int = 2000, gl_order: int = 6) -> Sampled:
+def smooth(phi, kernel: PdKernel, n: int = 2000) -> Sampled:
     """F_phi(x) = int_0^a phi(y) F(x - y) dy with derivative
     F_phi'(x) = int phi(y) F'(x - y) dy and boundary data from the same
     quadrature.  phi must vanish at the interval endpoints."""
@@ -253,20 +257,19 @@ def smooth(phi, kernel: PdKernel, n: int = 2000, gl_order: int = 6) -> Sampled:
     probe = np.max(np.abs(phi_fn(np.linspace(0, a, 257))))
     if probe > 0 and ends > 1e-9 * probe:
         raise DomainError("test function must vanish at the endpoints")
-    values, dvalues = _apply(kernel, grid, phi_fn, gl_order)
+    values, dvalues = _apply(kernel, grid, phi_fn)
     bd = BoundaryData(values[0], dvalues[0], values[-1], dvalues[-1])
     return Sampled(grid, values, dvalues, bd)
 
 
-def inner_product_smoothed(phi, psi, kernel: PdKernel, n: int = 2000,
-                           gl_order: int = 6) -> complex:
+def inner_product_smoothed(phi, psi, kernel: PdKernel, n: int = 2000) -> complex:
     """<F_phi, F_psi> = double integral of conj(phi(x)) psi(y) F(x - y),
     evaluated as int conj(phi) (T_F psi) with the kink-split inner transform."""
     a = kernel.half_width
     grid = np.linspace(0.0, a, n + 1)
     phi_fn = phi if callable(phi) else Smoothed(*phi).callable()
     psi_fn = psi if callable(psi) else Smoothed(*psi).callable()
-    tpsi, _ = _apply(kernel, grid, psi_fn, gl_order, deriv=False)
+    tpsi, _ = _apply(kernel, grid, psi_fn, deriv=False)
     return complex(simpson(np.conj(phi_fn(grid)) * tpsi, grid))
 
 
@@ -277,10 +280,7 @@ def reproducing_eval(xi: RkhsElement, x: float, kernel: PdKernel) -> complex:
         return complex(combo_eval([xi], kernel, x)[0, 0])
     if isinstance(xi, Smoothed):
         fn = xi.callable()
-        a = kernel.half_width
-        nodes, weights = cell_gl_layout(np.linspace(0.0, a, 2001), m=6)
-        w = weights.ravel()
-        y = nodes.ravel()
+        y, w = panel_nodes(0.0, kernel.half_width, 2000, GL_POINTS)
         return complex(np.sum(w * fn(y) * kernel(x - y)))
     return complex(xi.interpolator()(x))
 
@@ -333,7 +333,7 @@ def membership_test(h: Callable, kernel: PdKernel, basis_size: int,
 # ---------------------------------------------------------------------------
 
 def element_from_measure(mu: MeasureOnInterval, kernel: PdKernel,
-                         n: int = 2000, gl_order: int = 6) -> Sampled:
+                         n: int = 2000) -> Sampled:
     """F_mu(x) = int_0^a F(x - y) dmu(y); atoms exactly, density by
     kink-split panel quadrature."""
     a = kernel.half_width
@@ -345,7 +345,7 @@ def element_from_measure(mu: MeasureOnInterval, kernel: PdKernel,
         if dens_fn is None:
             g, d = mu.grid, mu.density
             dens_fn = lambda t: np.interp(t, g, d.real) + 1j * np.interp(t, g, d.imag)
-        v, dv = _apply(kernel, grid, dens_fn, gl_order)
+        v, dv = _apply(kernel, grid, dens_fn)
         values += v
         dvalues += dv
     dleft, dright = kernel.deriv_at_zero
@@ -372,20 +372,20 @@ def element_from_measure(mu: MeasureOnInterval, kernel: PdKernel,
     return Sampled(grid, values, dvalues, bd)
 
 
-def _e_lambda_mixture(lams, coeffs, n: int) -> MeasureOnInterval:
-    """sum_n c_n mu_{lam_n} (see e_lambda_measure) on a uniform n-point grid
-    of [0, 1]; its density is also its density_fn."""
+def _e_lambda_mixture(lams, coeffs) -> MeasureOnInterval:
+    """sum_n c_n mu_{lam_n} (see e_lambda_measure) on the uniform
+    MEASURE_GRID_POINTS grid of [0, 1]; its density is also its density_fn."""
     lams = np.asarray(lams, dtype=float)
     halves = coeffs * 0.5 * (1.0 + lams ** 2)
     density_fn = lambda y: exp_sum(lams, halves, y)
     atoms = ((0.0, complex(np.sum(coeffs * 0.5 * (1.0 - 1j * lams)))),
              (1.0, complex(np.sum(coeffs * 0.5 * (1.0 + 1j * lams) * np.exp(1j * lams)))))
-    grid = np.linspace(0.0, 1.0, n)
+    grid = np.linspace(0.0, 1.0, MEASURE_GRID_POINTS)
     return MeasureOnInterval.from_density((0.0, 1.0), grid, density_fn(grid), atoms,
                                           density_fn=density_fn)
 
 
-def e_lambda_measure(lam: float, n: int = 2001) -> MeasureOnInterval:
+def e_lambda_measure(lam: float) -> MeasureOnInterval:
     """The measure mu_lambda with F_{mu_lambda} = e^{i lambda x} for the exp
     kernel on (0, 1):
 
@@ -397,18 +397,18 @@ def e_lambda_measure(lam: float, n: int = 2001) -> MeasureOnInterval:
     endpoint weights; the positive sign in the delta_1 exponent is forced.)
     Total variation (1+lam^2)/2 + sqrt(1+lam^2).
     """
-    return _e_lambda_mixture(np.array([lam]), np.array([1.0]), n)
+    return _e_lambda_mixture(np.array([lam]), np.array([1.0]))
 
 
-def element_measure_expansion(h: Sampled, lambdas: Sequence[float], kernel: PdKernel,
-                              n: int = 2001) -> MeasureOnInterval:
+def element_measure_expansion(h: Sampled, lambdas: Sequence[float],
+                              kernel: PdKernel) -> MeasureOnInterval:
     """dmu_h = sum_n (<e_n, h>/||e_n||^2) dmu_n over the spectrum Lambda_theta
     (exp kernel); element_from_measure of the result approximates h with the
     Parseval tail as the error budget.  The mu_n are built from the exp
     descriptor (1/2)(1 + xi^2) and its Robin rows; other kernels raise."""
     if descriptor_for_kernel(kernel) != EXP_DESCRIPTOR:
         raise DomainError("measure expansion needs the exp kernel's elliptic descriptor")
-    return _e_lambda_mixture(lambdas, exp_basis_coefficients(h, lambdas), n)
+    return _e_lambda_mixture(lambdas, exp_basis_coefficients(h, lambdas))
 
 
 # ---------------------------------------------------------------------------

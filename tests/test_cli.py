@@ -84,6 +84,18 @@ class TestExtend:
             assert float(line.split(",")[2]) < 1e-15
 
 
+class TestJsonTypes:
+    @pytest.mark.parametrize("args", [["sample", "--theta", "0", "--n", "60"],
+                                      ["extend", "--theta", "0.8", "--n", "30"]])
+    def test_one_type_per_column(self, tmp_path, args):
+        # column 1 is complex: {"re", "im"} also where its imaginary part is 0
+        out = tmp_path / "o.json"
+        assert run(args + ["--format", "json", "--out", str(out)]) == 0
+        cols = list(zip(*json.loads(out.read_text())["rows"]))
+        assert all(isinstance(v, dict) for v in cols[1])
+        assert all(isinstance(v, float) for col in cols[:1] + cols[2:] for v in col)
+
+
 class TestMercerCmd:
     def test_table_and_trace(self, tmp_path):
         out = tmp_path / "mercer.json"
@@ -137,6 +149,15 @@ class TestOnbCmd:
              "--functions", str(fns)])
         header = fns.read_text().splitlines()[0]
         assert header.split(",")[:2] == ["x", "h_0"]
+
+    def test_table_with_f0_not_one_fails(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        x = np.linspace(0, 1, 33)
+        table.write_text("x,F,dF\n" + "\n".join(
+            f"{a},{0.8 * math.exp(-a)},{-0.8 * math.exp(-a)}" for a in x))
+        assert run(["onb", "--kernel", f"table:{table}", "--depth", "2"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "DomainError" and "F(0) = 1" in payload["detail"]
 
 
 class TestMomentsCmd:

@@ -217,3 +217,18 @@ class TestCoefficientExport:
         payload = json.loads(coeffs.to_json())
         assert payload["depth"] == 3
         assert len(payload["levels"]) == 3
+
+
+class TestUnitValueAtZero:
+    """The closed forms assume F(0) = 1; a scaled kernel must be refused, not
+    given h_0 = F(0) or a misleading dependence error."""
+
+    @pytest.mark.parametrize("scale", [0.8, 1.1, 1.5])
+    @pytest.mark.parametrize("call", [lambda k: build_onb(k, 3), lambda k: expand(np.exp, k, 3),
+                                      lambda k: norm_table(k, 2)],
+                             ids=["build_onb", "expand", "norm_table"])
+    def test_scaled_table_refused(self, scale, call):
+        x = np.linspace(0, 1, 33)
+        ker = tabulated_kernel(x, scale * np.exp(-x), -scale * np.exp(-x))
+        with pytest.raises(DomainError, match=r"assume F\(0\) = 1"):
+            call(ker)

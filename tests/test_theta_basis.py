@@ -8,6 +8,7 @@ from pdext import DomainError
 from pdext.elliptic import mollifier
 from pdext.extensions import (ThetaExpansion, expand_in_theta_basis, extend_type1,
                               sample_via_spectrum, unitary_evolve)
+from pdext.quadrature import UNIT_PANELS
 from pdext.rkhs import (complex_exponential, e_lambda_measure, e_lambda_weights,
                         element_measure_expansion, exp_basis_coefficients,
                         sampled_from_callable)
@@ -24,6 +25,32 @@ def test_f0_coefficients_are_the_weights(theta, N):
     lams = extend_type1(theta, N).lambdas
     c = exp_basis_coefficients(f0(), lams)
     assert np.max(np.abs(c - e_lambda_weights(lams))) < 1e-15
+
+
+@pytest.mark.parametrize("theta", [0.0, 6.2])
+def test_f0_coefficients_hold_up_to_the_lambda_bound(theta):
+    # N = 79 takes max |lam| to just below 2 UNIT_PANELS = 512
+    lams = extend_type1(theta, 79).lambdas
+    assert 490.0 < np.max(np.abs(lams)) <= 2 * UNIT_PANELS
+    w = e_lambda_weights(lams)
+    assert np.max(np.abs(exp_basis_coefficients(f0(), lams) - w) / w) < 1e-12
+
+
+class TestLambdaBound:
+    # at theta = 1.234, N = 1000 the [0, 1] rule put F_0's coefficients off by
+    # up to 94 times the weight; past |lam| = 512 the expansions refuse
+    def test_expansion_refuses(self):
+        with pytest.raises(DomainError, match="no longer resolves"):
+            expand_in_theta_basis(f0(), extend_type1(1.234, 1000))
+
+    def test_measure_expansion_refuses(self, kexp):
+        ext = extend_type1(1.234, 1000)
+        with pytest.raises(DomainError, match="no longer resolves"):
+            element_measure_expansion(f0(), ext.lambdas, kexp)
+
+    def test_evolving_a_sampled_element_refuses(self):
+        with pytest.raises(DomainError, match="no longer resolves"):
+            unitary_evolve(f0(), 0.3, extend_type1(1.234, 1000))
 
 
 @pytest.mark.parametrize("theta, N", [(0.0, 4), (0.8, 50), (6.0, 100)])
