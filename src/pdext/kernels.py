@@ -22,14 +22,13 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicHermiteSpline
 
-from .quadrature import GL_POINTS, exp_kernel_apply, integrate, poly_abs_kernel_apply, simpson
+from .quadrature import GL_POINTS, exp_kernel_apply, integrate, poly_exp_kernel_apply, simpson
 
 EPS_PSD = 1e-9
 
@@ -486,13 +485,14 @@ class PdKernel:
     two-sided away from 0 with the one-sided limits at 0 recorded separately.
 
     The built-in factories attach the structure their kernel has:
-    ``fast_apply(grid, g, m)`` returns (T_F g, (T_F g)') on the grid in
-    O(n m) -- ``exp_kernel_apply`` for the exp kernel, and
-    ``poly_abs_kernel_apply`` over the exact coefficients for kernels that
-    are a polynomial in |t| on [-a, a] (the triangle, ``bsplinex:k`` with
-    a <= 1); ``descriptor`` is the elliptic operator T_F^{-1} extends;
-    ``spectrum`` is the transcendental equation of the Mercer eigenvalues.
-    Consumers take a dense path or raise DomainError when one is None.
+    ``poly_exp = (coeffs, rate)`` when F(t) = e^{-rate |t|} sum_j coeffs[j] |t|^j
+    on [-a, a] -- ((1,), 1) for exp, ((1, -1), 0) for the triangle, the exact
+    coefficients with rate 0 for ``bsplinex:k`` with a <= 1 -- from which
+    ``fast_apply(grid, g, m)``, ``poly_exp_kernel_apply`` on that data,
+    returns (T_F g, (T_F g)') on the grid in O(n m); ``descriptor`` is the
+    elliptic operator T_F^{-1} extends; ``spectrum`` is the transcendental
+    equation of the Mercer eigenvalues.  Consumers take a dense path or raise
+    DomainError when one is None.
     """
 
     family: str
@@ -501,9 +501,14 @@ class PdKernel:
     derivative: Callable[[np.ndarray], np.ndarray]
     deriv_at_zero: tuple[float, float] = (0.0, 0.0)   # (left, right) limits
     measure: Optional[SpectralMeasure] = None
-    fast_apply: Optional[Callable] = None
+    poly_exp: Optional[tuple[tuple[float, ...], float]] = None
     descriptor: Optional[EllipticDescriptor] = None
     spectrum: Optional[TranscendentalSpec] = None
+
+    @property
+    def fast_apply(self) -> Optional[Callable]:
+        if self.poly_exp is not None:
+            return lambda grid, g, m=GL_POINTS: poly_exp_kernel_apply(*self.poly_exp, grid, g, m)
 
     def _check_domain(self, x):
         if np.any(np.abs(x) > self.half_width * (1 + 1e-12)):
@@ -536,7 +541,7 @@ def exp_kernel() -> PdKernel:
         derivative=lambda x: -np.sign(x) * np.exp(-np.abs(x)),
         deriv_at_zero=(1.0, -1.0),
         measure=_cauchy_measure(),
-        fast_apply=exp_kernel_apply,
+        poly_exp=((1.0,), 1.0),
         descriptor=EXP_DESCRIPTOR,
         spectrum=exp_bvp_spec(),
     )
@@ -560,7 +565,7 @@ def triangle_kernel() -> PdKernel:
         derivative=lambda x: -np.sign(x) * np.ones_like(np.asarray(x, dtype=float)),
         deriv_at_zero=(1.0, -1.0),
         measure=meas,
-        fast_apply=partial(poly_abs_kernel_apply, (1.0, -1.0)),
+        poly_exp=((1.0, -1.0), 0.0),
         descriptor=TRIANGLE_DESCRIPTOR,
         spectrum=triangle_bvp_spec(),
     )
@@ -642,7 +647,7 @@ def bspline_x_kernel(k: int, half_width: float = 0.5) -> PdKernel:
     return PdKernel(family=f"bsplinex:{k}", half_width=half_width,
                     evaluate=ev, derivative=dv, deriv_at_zero=(-coeffs[1], coeffs[1]),
                     measure=meas,
-                    fast_apply=partial(poly_abs_kernel_apply, coeffs) if half_width <= 1.0 else None,
+                    poly_exp=(coeffs, 0.0) if half_width <= 1.0 else None,
                     descriptor=TRIANGLE_DESCRIPTOR if triangle else None,
                     spectrum=triangle_bvp_spec() if triangle else None)
 

@@ -48,12 +48,17 @@ class MercerDecomposition:
     def trace(self) -> float:
         return float(np.sum(self.eigenvalues))
 
-    def eigenfunction_at(self, n: int, x) -> np.ndarray:
-        """Nystrom extension xi_n(x) = (1/lam_n) sum_j w_j F(x - x_j) xi_n(x_j)."""
+    def eigenfunction_at(self, n, x) -> np.ndarray:
+        """Nystrom extension xi_n(x) = (1/lam_n) sum_j w_j F(x - x_j) xi_n(x_j),
+        with the stored sample where x is a node; for a slice or list n, one
+        column per xi_n."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        K = self.kernel(x[:, None] - self.nodes[None, :])
-        return (K * (self.weights * self.eigenfunctions[:, n])[None, :]).sum(axis=1) \
-            / self.eigenvalues[n]
+        d = x[:, None] - self.nodes[None, :]
+        out = (self.kernel(d) * self.weights) @ self.eigenfunctions[:, n] / self.eigenvalues[n]
+        at = np.abs(d) <= 1e-14
+        hit = at.any(axis=1)
+        out[hit] = self.eigenfunctions[np.argmax(at[hit], axis=1)][:, n]
+        return out
 
     def coefficients(self, values_at_nodes: np.ndarray, m: int) -> np.ndarray:
         """<xi_n, h>_2 for n < m by nodal quadrature."""
@@ -108,18 +113,7 @@ def kernel_reconstruct(dec: MercerDecomposition, N: int, x: float, y: float) -> 
     off-node points use the Nystrom extension."""
     if N > dec.rank:
         raise ValueError("N exceeds rank")
-    x = float(x)
-    y = float(y)
-
-    def samples(t):
-        idx = np.where(np.isclose(dec.nodes, t, rtol=0, atol=1e-14))[0]
-        if len(idx):
-            return dec.eigenfunctions[idx[0], :N]
-        K = dec.kernel(t - dec.nodes)
-        return (K * dec.weights) @ dec.eigenfunctions[:, :N] / dec.eigenvalues[:N]
-
-    fx = samples(x)
-    fy = samples(y)
+    fx, fy = dec.eigenfunction_at(slice(N), [float(x), float(y)])
     return complex(np.sum(dec.eigenvalues[:N] * fx * np.conj(fy)))
 
 

@@ -23,6 +23,8 @@ GL_POINTS = 6
 # panels of the [0, 1] rule of the exp inner products and the sampling formula;
 # it resolves e^{i lam x} to 1e-12 up to |lam| = 2 UNIT_PANELS
 UNIT_PANELS = 256
+# bound on rate x span of a cumsum block in the prefix-moment apply (e^300 is finite)
+_DECAY_SPAN = 300.0
 
 
 def gl_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -38,18 +40,20 @@ def panel_nodes(a: float, b: float, n_panels: int, m: int = 4):
     return nodes.ravel(), weights.ravel()
 
 
+def split_panel_nodes(a: float, b: float, n_panels: int = 64, m: int = 6, split_points=()):
+    """Nodes and weights of composite m-point GL on [a, b] split at the
+    interior split points, each piece with its share of n_panels (>= 2)."""
+    pts = [a] + sorted(p for p in split_points if a < p < b) + [b]
+    pieces = [panel_nodes(lo, hi, max(2, int(np.ceil(n_panels * (hi - lo) / (b - a)))), m)
+              for lo, hi in zip(pts[:-1], pts[1:]) if hi > lo]
+    return np.concatenate([x for x, _ in pieces]), np.concatenate([w for _, w in pieces])
+
+
 def integrate(f, a: float, b: float, n_panels: int = 64, m: int = 6,
               split_points=()) -> complex:
     """Composite GL integral of a callable, with optional interior splits."""
-    pts = [a] + sorted(p for p in split_points if a < p < b) + [b]
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if hi <= lo:
-            continue
-        k = max(2, int(np.ceil(n_panels * (hi - lo) / (b - a))))
-        x, w = panel_nodes(lo, hi, k, m)
-        total = total + np.sum(w * f(x))
-    return total
+    x, w = split_panel_nodes(a, b, n_panels, m, split_points)
+    return np.sum(w * f(x))
 
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:
@@ -110,35 +114,62 @@ def kernel_apply_on_grid(F, grid: np.ndarray, g, m: int = 4) -> np.ndarray:
                            for i in range(0, len(grid), rows)])
 
 
-def poly_abs_kernel_apply(coeffs, grid: np.ndarray, g, m: int = 6):
+def poly_exp_kernel_apply(coeffs, rate: float, grid: np.ndarray, g, m: int = GL_POINTS):
     """(T f)(x_i) = int F(x_i - y) g(y) dy and its x-derivative for
-    F(t) = sum_j coeffs[j] |t|^j, O(n m deg^2).
+    F(t) = e^{-rate |t|} sum_j coeffs[j] |t|^j, O(n m deg^2).
 
     On the same per-cell GL rule as kernel_apply_on_grid: the moments
-    int v^p g over each cell (v = y - c, c the grid's midpoint) are
-    prefix-summed from both ends, and the binomial expansion of
-    (u - v)^j, u = x_i - c, turns them into both integrals at every grid
-    point in one pass.
+    int e^{-rate d} v^p g over each cell (v = y - c, c the grid's midpoint,
+    d the distance to the cell's right or left edge) are prefix-summed from
+    both ends, and the binomial expansion of (u - v)^j, u = x_i - c, turns
+    them into both integrals at every grid point in one pass.  F' is
+    sign(t) e^{-rate |t|} sum_j ((j + 1) coeffs[j+1] - rate coeffs[j]) |t|^j.
     """
     nodes, weights = cell_gl_layout(grid, m)
     c = 0.5 * (grid[0] + grid[-1])
     wg = weights * g(nodes)
     v = nodes - c
-    cells = np.array([np.sum(wg * v ** p, axis=1) for p in range(len(coeffs))])
-    zero = np.zeros((len(coeffs), 1), dtype=cells.dtype)
-    # left[p, i] = int_{y < x_i} v^p g ; right[p, i] = int_{y > x_i} v^p g
-    left = np.concatenate([zero, np.cumsum(cells, axis=1)], axis=1)
-    right = np.concatenate([np.cumsum(cells[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
+    # each cell's moments discounted to its right edge (seen from the targets
+    # right of it) and to its left edge (from the targets left of it); the
+    # two coincide at rate 0
+    wg = wg * np.exp(-rate * np.stack([grid[1:, None] - nodes, nodes - grid[:-1, None]])) \
+        if rate else wg[None]
+    cells = np.array([np.sum(wg * v ** p, axis=-1) for p in range(len(coeffs))])
+    # left[p, i] = int_{y < x_i} e^{-rate (x_i - y)} v^p g ; right[p, i] likewise for y > x_i
+    left = _decayed_prefix(cells[:, 0], grid, rate)
+    right = _decayed_prefix(cells[:, -1, ::-1], -grid[::-1], rate)[:, ::-1]
     u = grid - c
-    # F' = sum_j j c_j sign(t) |t|^{j-1}: the same sums with the right part negated
-    values = _two_sided(coeffs, u, left, right, 1.0)
-    derivs = _two_sided([j * cj for j, cj in enumerate(coeffs)][1:], u, left, right, -1.0)
-    return values, derivs
+    # F' flips sign across t = 0: the same sums with the right part negated
+    dcoeffs = [(j + 1) * c1 - rate * c0
+               for j, (c0, c1) in enumerate(zip(coeffs, [*coeffs[1:], 0.0]))]
+    return _two_sided(coeffs, u, left, right, 1.0), _two_sided(dcoeffs, u, left, right, -1.0)
+
+
+def _decayed_prefix(cells, grid, rate: float) -> np.ndarray:
+    """out[:, i] = sum_{k < i} e^{-rate (x_i - x_{k+1})} cells[:, k], x = grid.
+
+    A cumsum of cells[:, k] e^{-rate (x_e - x_{k+1})}, rescaled by
+    e^{rate (x_e - x_i)}, with x_e the end of a block of cells whose ends
+    span at most _DECAY_SPAN / rate, so that no factor overflows; each block
+    adds the total carried in from the last one, discounted to x_e.  A cell
+    wider than that starts a block.  At rate 0 this is one plain cumsum."""
+    out = [np.zeros((len(cells), 1), dtype=cells.dtype)]
+    ends = grid[1:]
+    span = rate * (ends - grid[0])
+    cuts = np.searchsorted(span, _DECAY_SPAN * np.arange(1, span[-1] // _DECAY_SPAN + 1))
+    bounds = np.unique([0, *cuts, len(ends)])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        x = ends[lo:hi]
+        scale = np.exp(rate * (x[-1] - x))
+        carry = np.exp(-rate * (x[-1] - grid[lo])) * out[-1][:, -1:]
+        out.append(scale * (np.cumsum(cells[:, lo:hi] / scale, axis=1) + carry))
+    return np.concatenate(out, axis=1)
 
 
 def _two_sided(coeffs, u, left, right, sign: float):
-    """sum_j coeffs[j] (int_{y < x} (x - y)^j g + sign int_{y > x} (y - x)^j g)
-    from the moment prefix sums, with (u - v)^j expanded binomially."""
+    """sum_j coeffs[j] (int_{y < x} (x - y)^j g + sign int_{y > x} (y - x)^j g),
+    each part with its discount, from the moment prefix sums, with (u - v)^j
+    expanded binomially."""
     out = np.zeros(left.shape[1], dtype=left.dtype)
     for j, cj in enumerate(coeffs):
         if cj == 0:
@@ -149,30 +180,6 @@ def _two_sided(coeffs, u, left, right, sign: float):
     return out
 
 
-def exp_kernel_apply(grid: np.ndarray, g, m: int = 6):
-    """(T f)(x_i) = int e^{-|x_i-y|} f(y) dy and its x-derivative, O(n m).
-
-    Uses e^{-|x-y|} = e^{-x}e^{y} (y < x), e^{x}e^{-y} (y > x): cumulative
-    per-cell GL sums give both the value and the derivative at every grid
-    point in one pass.
-    """
-    nodes, weights = cell_gl_layout(grid, m)
-    gv = g(nodes)
-    # per-cell integrals of e^{y} g and e^{-y} g, shifted to the cell's
-    # left/right edge to avoid overflow for wide grids
-    lo = grid[:-1][:, None]
-    hi = grid[1:][:, None]
-    cell_left = np.sum(weights * np.exp(nodes - hi) * gv, axis=1)
-    cell_right = np.sum(weights * np.exp(lo - nodes) * gv, axis=1)
-    n = len(grid)
-    left = np.zeros(n, dtype=np.result_type(gv.dtype, float))
-    right = np.zeros_like(left)
-    # left[i] = int_0^{x_i} e^{y-x_i} g dy ; right[i] = int_{x_i}^a e^{x_i-y} g dy
-    decay = np.exp(grid[:-1] - grid[1:])
-    for i in range(1, n):
-        left[i] = left[i - 1] * decay[i - 1] + cell_left[i - 1]
-    for i in range(n - 2, -1, -1):
-        right[i] = right[i + 1] * decay[i] + cell_right[i]
-    values = left + right
-    derivs = -left + right
-    return values, derivs
+def exp_kernel_apply(grid: np.ndarray, g, m: int = GL_POINTS):
+    """poly_exp_kernel_apply for F(t) = e^{-|t|}."""
+    return poly_exp_kernel_apply((1.0,), 1.0, grid, g, m)

@@ -26,8 +26,8 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .kernels import (EXP_DESCRIPTOR, MEASURE_GRID_POINTS, DomainError,
                       MeasureOnInterval, PdKernel, descriptor_for_kernel, simpson_grid)
-from .quadrature import (GL_POINTS, UNIT_PANELS, integrate, kernel_apply_on_grid,
-                         panel_nodes, simpson)
+from .quadrature import (GL_POINTS, UNIT_PANELS, integrate, kernel_apply_on_grid, simpson,
+                         split_panel_nodes)
 
 
 @dataclass(frozen=True)
@@ -198,13 +198,18 @@ def _l2_pair(h: Sampled, k: Sampled, use_deriv: bool) -> complex:
     return complex(simpson(np.conj(hv) * kv, h.grid))
 
 
+def _check_unit_sobolev(*els: Sampled):
+    """The exp kernel's Sobolev form needs derivative samples on [0, 1]."""
+    if any(el.dvalues is None for el in els):
+        raise ValueError("exp_inner_product requires derivative samples")
+    if any(abs(el.grid[-1] - 1.0) > 1e-12 for el in els):
+        raise DomainError("exp_inner_product is defined on [0, 1]")
+
+
 def exp_inner_product(h: Sampled, k: Sampled) -> complex:
     """H_F inner product of the exp kernel in Sobolev boundary form (domain
     [0, 1]); requires derivative samples on both arguments."""
-    if h.dvalues is None or k.dvalues is None:
-        raise ValueError("exp_inner_product requires derivative samples")
-    if abs(h.grid[-1] - 1.0) > 1e-12 or abs(k.grid[-1] - 1.0) > 1e-12:
-        raise DomainError("exp_inner_product is defined on [0, 1]")
+    _check_unit_sobolev(h, k)
     val = 0.5 * (_l2_pair(h, k, False) + _l2_pair(h, k, True))
     hb, kb = h.boundary, k.boundary
     val += 0.5 * (np.conj(hb.h0) * kb.h0 + np.conj(hb.ha) * kb.ha)
@@ -215,16 +220,36 @@ def exp_norm_sq(h: Sampled) -> float:
     return exp_inner_product(h, h).real
 
 
+def _unit_fourier(h: Sampled, lambdas: np.ndarray, use_deriv: bool) -> np.ndarray:
+    """int_0^1 e^{-i lam x} h(x) dx (or h') for every lam, on the nodes
+    _l2_pair pairs e_lam with h on: GL split at h's kinks when h carries a
+    callable, Simpson on h.grid otherwise; 128 lam at a time."""
+    f = h.dfn if use_deriv else h.fn
+    if f is not None:
+        x, w = split_panel_nodes(0.0, 1.0, UNIT_PANELS, GL_POINTS, h.kinks)
+        wf = w * f(x)
+        pair = lambda lams: np.exp(-1j * np.outer(lams, x)) @ wf
+    else:
+        v = h.dvalues if use_deriv else h.values
+        pair = lambda lams: simpson(np.exp(-1j * np.outer(lams, h.grid)) * v, h.grid)
+    blocks = np.split(lambdas, np.arange(128, len(lambdas), 128))
+    return np.concatenate([pair(lams) for lams in blocks])
+
+
 def exp_basis_coefficients(h: Sampled, lambdas: Sequence[float]) -> np.ndarray:
-    """c_n = <e_n, h> / ||e_n||^2 over e_n = e^{i lam_n x} on [0, 1]; |lam|
-    above 2 UNIT_PANELS, beyond the resolution of the [0, 1] rule, raises."""
+    """c_n = <e_n, h> / ||e_n||^2 over e_n = e^{i lam_n x} on [0, 1], all
+    lam at once: with f^(lam) = int_0^1 e^{-i lam x} f dx, the Sobolev form
+    gives <e_lam, h> = (1/2)(h^(lam) - i lam h'^(lam)) + (1/2)(h(0) + e^{-i lam} h(1)).
+    |lam| above 2 UNIT_PANELS, beyond the resolution of the [0, 1] rule, raises."""
     lambdas = np.asarray(lambdas, dtype=float)
     if np.any(np.abs(lambdas) > 2 * UNIT_PANELS):
         raise DomainError(f"|lambda| = {np.max(np.abs(lambdas)):.6g} above {2 * UNIT_PANELS}, "
                           "where the [0, 1] quadrature no longer resolves e_lambda")
-    inner = [exp_inner_product(complex_exponential(lam, 1.0, n=len(h.grid) - 1), h)
-             for lam in lambdas]
-    return np.asarray(inner, dtype=complex) * e_lambda_weights(lambdas)
+    _check_unit_sobolev(h)
+    hat, dhat = _unit_fourier(h, lambdas, False), _unit_fourier(h, lambdas, True)
+    b = h.boundary
+    inner = 0.5 * (hat - 1j * lambdas * dhat) + 0.5 * (b.h0 + np.exp(-1j * lambdas) * b.ha)
+    return inner * e_lambda_weights(lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +305,8 @@ def reproducing_eval(xi: RkhsElement, x: float, kernel: PdKernel) -> complex:
         return complex(combo_eval([xi], kernel, x)[0, 0])
     if isinstance(xi, Smoothed):
         fn = xi.callable()
-        y, w = panel_nodes(0.0, kernel.half_width, 2000, GL_POINTS)
-        return complex(np.sum(w * fn(y) * kernel(x - y)))
+        return complex(integrate(lambda y: fn(y) * kernel(x - y), 0.0, kernel.half_width,
+                                 2000, GL_POINTS, split_points=(x,)))
     return complex(xi.interpolator()(x))
 
 

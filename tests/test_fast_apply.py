@@ -16,7 +16,8 @@ from pdext import extensions, quadrature
 from pdext.elliptic import mollifier
 from pdext.kernels import TRIANGLE_DESCRIPTOR, bspline_x_poly_coeffs
 from pdext.mercer import apply_operator
-from pdext.quadrature import cell_gl_layout, kernel_apply_on_grid, poly_abs_kernel_apply
+from pdext.quadrature import (cell_gl_layout, exp_kernel_apply, kernel_apply_on_grid,
+                              poly_exp_kernel_apply)
 from pdext.rkhs import smooth
 
 POLY_KERNELS = ["triangle", "bsplinex:2", "bsplinex:4", "bsplinex:6"]
@@ -72,17 +73,73 @@ def test_bsplinex_fast_apply_holds_up_to_the_first_knot():
 
 @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
        a=st.floats(0.1, 1.0), n=st.integers(2, 120),
-       freq=st.floats(0.0, 10.0), phase=st.floats(0.0, 2 * np.pi), rate=st.floats(-2.0, 2.0))
+       freq=st.floats(0.0, 10.0), phase=st.floats(0.0, 2 * np.pi), rate=st.floats(-2.0, 2.0),
+       decay=st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
 @settings(max_examples=60, deadline=None)
-def test_poly_abs_apply_matches_dense_apply(coeffs, a, n, freq, phase, rate):
+def test_poly_abs_apply_matches_dense_apply(coeffs, a, n, freq, phase, rate, decay):
+    # F(t) = e^{-decay |t|} sum_j c_j |t|^j; decay = 0 is the polynomial case
     grid = np.linspace(0.0, a, n + 1)
     g = lambda y: np.cos(freq * y + phase) * np.exp(rate * y)
-    F = lambda t: sum(c * np.abs(t) ** j for j, c in enumerate(coeffs))
-    dF = lambda t: np.sign(t) * sum(j * c * np.abs(t) ** (j - 1)
-                                    for j, c in enumerate(coeffs) if j)
-    values, dvalues = poly_abs_kernel_apply(coeffs, grid, g, m=6)
+    P = lambda t, cs: sum(c * np.abs(t) ** j for j, c in enumerate(cs))
+    F = lambda t: np.exp(-decay * np.abs(t)) * P(t, coeffs)
+    dF = lambda t: np.sign(t) * np.exp(-decay * np.abs(t)) * (
+        sum(j * c * np.abs(t) ** (j - 1) for j, c in enumerate(coeffs) if j) - decay * P(t, coeffs))
+    values, dvalues = poly_exp_kernel_apply(coeffs, decay, grid, g, m=6)
     assert np.max(np.abs(values - kernel_apply_on_grid(F, grid, g, m=6))) < 1e-13
     assert np.max(np.abs(dvalues - kernel_apply_on_grid(dF, grid, g, m=6))) < 1e-13
+
+
+def test_exp_apply_of_one_is_exact():
+    # int_0^1 e^{-|x - y|} dy = 2 - e^{-x} - e^{-(1 - x)}
+    grid = np.linspace(0.0, 1.0, 2001)
+    values, _ = exp_kernel_apply(grid, np.ones_like)
+    exact = 2.0 - np.exp(-grid) - np.exp(-(1.0 - grid))
+    assert np.max(np.abs(values - exact) / exact) < 5e-15
+
+
+def test_exp_apply_over_a_wide_span_does_not_overflow():
+    # rate * span = 2000: the prefix sums run in blocks, each within e^{+-300}
+    W = 2000.0
+    grid = np.linspace(0.0, W, 4001)
+    values, dvalues = exp_kernel_apply(grid, np.ones_like)
+    exact = 2.0 - np.exp(-grid) - np.exp(-(W - grid))
+    assert np.max(np.abs(values - exact) / exact) < 1e-13
+    assert np.max(np.abs(dvalues - (np.exp(-grid) - np.exp(-(W - grid))))) < 1e-13
+
+
+def test_blocked_prefix_sums_match_the_dense_apply():
+    # rate * span = 800 spans three blocks; a polynomial factor rides along
+    grid = np.linspace(0.0, 400.0, 801)
+    coeffs, rate = (1.0, 0.5), 2.0
+    F = lambda t: np.exp(-rate * np.abs(t)) * (1.0 + 0.5 * np.abs(t))
+    dF = lambda t: np.sign(t) * np.exp(-rate * np.abs(t)) * (0.5 - rate * (1.0 + 0.5 * np.abs(t)))
+    g = lambda y: np.cos(0.3 * y) * np.exp(0.5j * y)
+    values, dvalues = poly_exp_kernel_apply(coeffs, rate, grid, g, m=6)
+    assert np.max(np.abs(values - kernel_apply_on_grid(F, grid, g, m=6))) < 1e-12
+    assert np.max(np.abs(dvalues - kernel_apply_on_grid(dF, grid, g, m=6))) < 1e-12
+
+
+@pytest.mark.parametrize("grid", [np.linspace(0.0, 700.0, 3), np.array([0.0, 400.0, 401.0]),
+                                  np.array([0.0, 1.0, 2.0, 900.0, 901.0, 1800.0])])
+def test_cells_wider_than_a_block(grid):
+    # one cell spans more than one block (rate * width >= 300), also the first
+    F = lambda t: np.exp(-np.abs(t))
+    g = lambda y: np.cos(0.3 * y) + 0.5j
+    values, dvalues = exp_kernel_apply(grid, g)
+    assert np.max(np.abs(values - kernel_apply_on_grid(F, grid, g, m=6))) < 1e-13
+    assert np.max(np.abs(dvalues - kernel_apply_on_grid(lambda t: -np.sign(t) * F(t),
+                                                        grid, g, m=6))) < 1e-13
+
+
+@pytest.mark.parametrize("name,poly_exp", [("exp", ((1.0,), 1.0)), ("triangle", ((1.0, -1.0), 0.0)),
+                                           ("bsplinex:4", ((1.0, 0.0, -1.5, 0.75), 0.0))])
+def test_fast_apply_is_the_prefix_moment_apply_of_poly_exp(name, poly_exp):
+    kernel = kernel_from_name(name)
+    assert kernel.poly_exp == poly_exp
+    grid = np.linspace(0.0, kernel.half_width, 101)
+    want = poly_exp_kernel_apply(*poly_exp, grid, smooth_g)
+    for got, w in zip(kernel.fast_apply(grid, smooth_g), want):
+        np.testing.assert_array_equal(got, w)
 
 
 @pytest.mark.parametrize("complex_g", [False, True])

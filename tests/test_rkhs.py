@@ -159,6 +159,19 @@ class TestReproducingEval:
             ref = np.interp(x, el.grid, el.values.real)
             assert abs(v - ref) < 1e-9
 
+    @pytest.mark.parametrize("name,x", [("exp", 0.77777), ("triangle", 0.388885)])
+    def test_smoothed_off_the_panel_edges(self, name, x):
+        # x inside a quadrature panel: the kernel kink at y = x is split out
+        from pdext import kernel_from_name
+        from pdext.mercer import apply_operator
+        from pdext.rkhs import Smoothed
+        kernel = kernel_from_name(name)
+        a = kernel.half_width
+        phi = lambda y: np.sin(np.pi * y / a) ** 2
+        grid = np.linspace(0.0, a, 2001)
+        v = reproducing_eval(Smoothed(grid, phi(grid), fn=phi), x, kernel)
+        assert abs(v - apply_operator(kernel, phi, [x])[0]) < 1e-14
+
     def test_sampled_exponential(self, kexp, rng):
         lam = 2.0
         e = complex_exponential(lam, 1.0)
