@@ -51,10 +51,6 @@ class OnbElement:
     combo: KernelCombo
     unnormalized_norm_sq: float
 
-    @property
-    def normalization(self) -> float:
-        return 1.0 / math.sqrt(self.unnormalized_norm_sq)
-
 
 def _seed(kernel: PdKernel) -> tuple[float, float]:
     """F(a) and 1 - F(a)^2, the squared norm of the unnormalized h_1; F(0) != 1 raises."""

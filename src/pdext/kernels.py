@@ -35,9 +35,6 @@ EPS_PSD = 1e-9
 # grid points of the built-in measures on an interval (Lebesgue, uniform, mu_lambda)
 MEASURE_GRID_POINTS = 2001
 
-# QUADPACK upper limit used when correcting power-law tails of densities
-_TAIL_INF = np.inf
-
 
 class DomainError(ValueError):
     """Argument outside the kernel or measure domain."""
@@ -148,8 +145,8 @@ class SpectralMeasure:
             return 0.0
         L = self.cutoff
         if self.density_fn is not None:
-            left = _quiet_quad(self.density_fn, -_TAIL_INF, -L)
-            right = _quiet_quad(self.density_fn, L, _TAIL_INF)
+            left = _quiet_quad(self.density_fn, -np.inf, -L)
+            right = _quiet_quad(self.density_fn, L, np.inf)
             return left + right
         p, c = self.tail.exponent, self.tail.coeff
         if p <= 1.0:
@@ -198,11 +195,11 @@ def _tail_fourier(measure: SpectralMeasure, x: float) -> complex:
         f = lambda l: c * l ** (-p)
         fm = f
     if abs(x) < 1e-12:
-        return _quiet_quad(f, L, _TAIL_INF) + _quiet_quad(fm, L, _TAIL_INF)
-    re = (_quiet_quad(f, L, _TAIL_INF, weight="cos", wvar=x)
-          + _quiet_quad(fm, L, _TAIL_INF, weight="cos", wvar=x))
-    im = (_quiet_quad(f, L, _TAIL_INF, weight="sin", wvar=x)
-          - _quiet_quad(fm, L, _TAIL_INF, weight="sin", wvar=x))
+        return _quiet_quad(f, L, np.inf) + _quiet_quad(fm, L, np.inf)
+    re = (_quiet_quad(f, L, np.inf, weight="cos", wvar=x)
+          + _quiet_quad(fm, L, np.inf, weight="cos", wvar=x))
+    im = (_quiet_quad(f, L, np.inf, weight="sin", wvar=x)
+          - _quiet_quad(fm, L, np.inf, weight="sin", wvar=x))
     return re + 1j * im
 
 
@@ -411,7 +408,6 @@ class TranscendentalSpec:
     mercer_map: Callable[[np.ndarray], np.ndarray]
     curves: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     k_min: float
-    interval_length: float    # the trace target a
 
     def normalized_residual(self, k):
         return self.residual(k) / (1.0 + np.asarray(k, dtype=float) ** 2)
@@ -424,7 +420,6 @@ def exp_bvp_spec() -> TranscendentalSpec:
         mercer_map=lambda k: 2.0 / (1.0 + np.asarray(k) ** 2),
         curves=lambda k: (np.tan(k), 2 * k / (k ** 2 - 1.0)),
         k_min=1.0,
-        interval_length=1.0,
     )
 
 
@@ -437,7 +432,6 @@ def triangle_bvp_spec() -> TranscendentalSpec:
         mercer_map=lambda k: 2.0 / np.asarray(k) ** 2,
         curves=lambda k: (np.tan(k / 4.0), 4.0 / (3.0 * k)),
         k_min=1e-6,
-        interval_length=0.5,
     )
 
 

@@ -2,7 +2,9 @@
 
 (T_F f)(x) = int_0^a f(y) F(x - y) dy on L^2(0, a).  The midpoint rule keeps
 the discrete trace exactly equal to a (diagonal entries are F(0) = 1 and the
-weights sum to a), which is what the trace identity check relies on.
+weights sum to a), which is what the trace identity check relies on.  On
+uniform nodes the matrix h F(x_i - x_j) depends only on |i - j|, so it is
+the symmetric Toeplitz matrix of one kernel row.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 
 from .kernels import (EPS_PSD, DomainError, PdKernel, descriptor_for_kernel,
@@ -80,32 +83,34 @@ class MercerDecomposition:
     def eigenfunction_table(self, indices, xs) -> list[tuple]:
         """Plot rows (x, xi_{n1}(x), xi_{n2}(x), ...) via Nystrom extension."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        cols = [self.eigenfunction_at(n, xs) for n in indices]
-        return [tuple([x] + [float(np.real(c[i])) for c in cols])
-                for i, x in enumerate(xs)]
+        cols = self.eigenfunction_at(list(indices), xs).real
+        return [tuple([x] + [float(c) for c in row]) for x, row in zip(xs, cols)]
 
 
 def discretize(kernel: PdKernel, cfg: NystromConfig = NystromConfig()) -> MercerDecomposition:
-    """Symmetrized midpoint Nystrom matrix sqrt(w) F(x_i - x_j) sqrt(w),
-    diagonalized; eigenvectors are un-symmetrized to node samples."""
+    """Midpoint Nystrom matrix h F(x_i - x_j) on n uniform nodes, diagonalized.
+
+    The entry depends only on |i - j| (F(x - y) is a convolution and Re F is
+    even), so the matrix is the symmetric Toeplitz matrix of the row
+    h F(x_k - x_0): the kernel is called on n offsets and eigh reads a
+    strided view of that row, with no n^2 copy of its own.  eigh returns the
+    eigenvalues ascending; reversed, they and the eigenvectors / sqrt(h) (the
+    node samples of xi_n) come out descending.
+    """
     n = cfg.node_count
     a = kernel.half_width
     h = a / n
     nodes = (np.arange(n) + 0.5) * h
     weights = np.full(n, h)
-    K = kernel(nodes[:, None] - nodes[None, :]).real
-    A = h * K
-    A = 0.5 * (A + A.T)
-    lam, U = np.linalg.eigh(A)
-    xi = U / np.sqrt(h)
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    xi = xi[:, order]
+    row = h * kernel(nodes - nodes[0]).real
+    toeplitz = sliding_window_view(np.concatenate([row[:0:-1], row]), n)[::-1]
+    lam, U = np.linalg.eigh(toeplitz)
+    lam = lam[::-1]
     if lam[-1] < -EPS_PSD:
         raise DomainError(
             f"kernel '{kernel.family}' rejected: Nystrom matrix has eigenvalue "
             f"{lam[-1]:.3e} < -{EPS_PSD}")
-    return MercerDecomposition(kernel, nodes, weights, lam, xi)
+    return MercerDecomposition(kernel, nodes, weights, lam, U[:, ::-1] / np.sqrt(h))
 
 
 def kernel_reconstruct(dec: MercerDecomposition, N: int, x: float, y: float) -> complex:
@@ -128,18 +133,13 @@ def hf_inner_via_inverse(h_nodes: np.ndarray, k_nodes: np.ndarray,
 
 def volterra_apply(f: Callable[[np.ndarray], np.ndarray], n: int = 800,
                    grid: Optional[np.ndarray] = None):
-    """T_F f for the exp kernel via its Volterra + rank-one structure:
-
-        (T_F f)(x) = 2 int_0^x sinh(y - x) f(y) dy + e^x int_0^1 e^{-y} f(y) dy
-                   = e^{-x} int_0^x e^y f dy + e^x int_x^1 e^{-y} f dy.
-
-    Returns (grid, values) on [0, 1]; the integration cells always cover the
-    full interval even when the evaluation grid does not touch 0 or 1.
+    """T_F f for the exp kernel: exp_kernel_apply on the grid (default n + 1
+    uniform points of [0, 1]) joined with the end points, so the integration
+    cells always cover [0, 1] even when the grid does not touch 0 or 1.
+    Returns (grid, values).
     """
     if grid is None:
         grid = np.linspace(0.0, 1.0, n + 1)
-        values, _ = exp_kernel_apply(grid, f)
-        return grid, values
     grid = np.asarray(grid, dtype=float)
     full = np.union1d(np.array([0.0, 1.0]), grid)
     values, _ = exp_kernel_apply(full, f)
@@ -149,7 +149,7 @@ def volterra_apply(f: Callable[[np.ndarray], np.ndarray], n: int = 800,
 
 def apply_operator(kernel: PdKernel, f: Callable, xs) -> np.ndarray:
     """Oracle-grade (T_F f)(x) by adaptive quadrature with the kink split
-    at y = x; independent of both the Nystrom matrix and the Volterra path."""
+    at y = x; independent of both the Nystrom matrix and exp_kernel_apply."""
     a = kernel.half_width
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     out = np.empty(len(xs), dtype=complex)

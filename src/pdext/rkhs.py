@@ -26,8 +26,8 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .kernels import (EXP_DESCRIPTOR, MEASURE_GRID_POINTS, DomainError,
                       MeasureOnInterval, PdKernel, descriptor_for_kernel, simpson_grid)
-from .quadrature import (GL_POINTS, UNIT_PANELS, integrate, kernel_apply_on_grid, simpson,
-                         split_panel_nodes)
+from .quadrature import (_BLOCK_ENTRIES, GL_POINTS, UNIT_PANELS, integrate,
+                         kernel_apply_on_grid, simpson, split_panel_nodes)
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,14 @@ def e_lambda_weights(lams) -> np.ndarray:
 
 
 def exp_sum(lams, coeffs, x) -> np.ndarray:
-    """sum_n c_n e^{i lam_n x}, with the shape of x."""
+    """sum_n c_n e^{i lam_n x}, with the shape of x.  e^{i lam_n x} is formed
+    for about _BLOCK_ENTRIES (x, lam) pairs at a time and each x is reduced
+    on its own, so memory stays O(len(x) + len(lams) + block)."""
     x = np.asarray(x, dtype=float)
-    return (np.exp(1j * np.outer(x, lams)) @ coeffs).reshape(x.shape)
+    flat = x.ravel()
+    rows = max(1, _BLOCK_ENTRIES // max(1, len(lams)))
+    return np.concatenate([np.exp(1j * np.outer(flat[i:i + rows], lams)) @ coeffs
+                           for i in range(0, max(1, flat.size), rows)]).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +228,16 @@ def exp_norm_sq(h: Sampled) -> float:
 def _unit_fourier(h: Sampled, lambdas: np.ndarray, use_deriv: bool) -> np.ndarray:
     """int_0^1 e^{-i lam x} h(x) dx (or h') for every lam, on the nodes
     _l2_pair pairs e_lam with h on: GL split at h's kinks when h carries a
-    callable, Simpson on h.grid otherwise; 128 lam at a time."""
+    callable (an exp_sum over those nodes), Simpson on h.grid otherwise,
+    128 lam at a time."""
     f = h.dfn if use_deriv else h.fn
     if f is not None:
         x, w = split_panel_nodes(0.0, 1.0, UNIT_PANELS, GL_POINTS, h.kinks)
-        wf = w * f(x)
-        pair = lambda lams: np.exp(-1j * np.outer(lams, x)) @ wf
-    else:
-        v = h.dvalues if use_deriv else h.values
-        pair = lambda lams: simpson(np.exp(-1j * np.outer(lams, h.grid)) * v, h.grid)
+        return exp_sum(x, w * f(x), -lambdas)
+    v = h.dvalues if use_deriv else h.values
     blocks = np.split(lambdas, np.arange(128, len(lambdas), 128))
-    return np.concatenate([pair(lams) for lams in blocks])
+    return np.concatenate([simpson(np.exp(-1j * np.outer(lams, h.grid)) * v, h.grid)
+                           for lams in blocks])
 
 
 def exp_basis_coefficients(h: Sampled, lambdas: Sequence[float]) -> np.ndarray:
@@ -339,10 +343,7 @@ def membership_test(h: Callable, kernel: PdKernel, basis_size: int,
         raise ValueError(f"basis_size {basis_size} exceeds Mercer rank {dec.rank}")
     hv = h(dec.nodes) if callable(h) else np.asarray(h)
     sizes = [max(2, basis_size // 4), max(3, basis_size // 2), basis_size]
-    ests = []
-    for m in sizes:
-        c = dec.coefficients(hv, m)
-        ests.append(float(np.sum(np.abs(c) ** 2 / dec.eigenvalues[:m])))
+    ests = [_mercer.hf_inner_via_inverse(hv, hv, dec, m).real for m in sizes]
     a1, a2, a3 = ests
     if a3 <= a1 * 1.05:
         verdict = "in"

@@ -11,7 +11,8 @@ from pdext.elliptic import (bracketed_roots, bspline_operator_bound,
                             exp_bvp_spec, mollifier, root_table_rows,
                             solve_transcendental, standard_bumps, support_check,
                             triangle_bvp_spec, verify_against_mercer)
-from pdext.rkhs import smooth
+from pdext.mercer import hf_inner_via_inverse
+from pdext.rkhs import sampled_from_callable, smooth
 
 
 class TestExpRoots:
@@ -226,3 +227,14 @@ class TestEllipticityStabilization:
         rep = ellipticity_check(kexp, dec_exp_800, samples, m=200)
         assert rep.verdict == "elliptic"
         assert rep.stabilized
+
+
+class TestEllipticityUsesMercerForm:
+    def test_constant_is_truncated_hf_norm_over_h1_norm(self, kexp, dec_exp_800):
+        f, df, _ = mollifier(0.45, 0.3)
+        el = sampled_from_callable(f, 1.0, n=1000, dfn=df)
+        d = dec_exp_800
+        rep = ellipticity_check(kexp, d, [el], m=150)
+        hv, dv = el.interpolator()(d.nodes), el.dfn(d.nodes)
+        denom = float(np.sum(d.weights * (np.abs(hv) ** 2 + np.abs(dv) ** 2)))
+        assert rep.constant == hf_inner_via_inverse(hv, hv, d, 300).real / denom

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pdext import DomainError
 from pdext.elliptic import mollifier
-from pdext.kernels import tabulated_kernel
+from pdext.kernels import kernel_from_name, tabulated_kernel
 from pdext.mercer import (GreensInverseResult, MercerDecomposition,
                           NystromConfig, apply_operator, discretize,
                           greens_inverse_apply, hf_inner_via_inverse,
@@ -205,3 +206,48 @@ class TestGreensInverseElementForm:
         res = greens_inverse_apply(el)
         assert res.boundary_ok
         assert np.max(np.abs(res.values - f(res.grid))) < 1e-5
+
+
+def _small_table_kernel():
+    x = np.linspace(0.0, 1.0, 33)
+    return tabulated_kernel(x, np.exp(-2.0 * x * x), -4.0 * x * np.exp(-2.0 * x * x))
+
+
+class TestToeplitzNystrom:
+    """discretize builds h F(x_i - x_j) from one kernel row; the dense
+    matrix is the oracle."""
+
+    @pytest.mark.parametrize("n", [400, 401])
+    @pytest.mark.parametrize("make", [lambda: kernel_from_name("exp"),
+                                      lambda: kernel_from_name("triangle"),
+                                      lambda: kernel_from_name("bspline:4"),
+                                      _small_table_kernel],
+                             ids=["exp", "triangle", "bspline:4", "table"])
+    def test_matches_dense_oracle(self, make, n):
+        kernel = make()
+        dec = discretize(kernel, NystromConfig(n))
+        x, h = dec.nodes, dec.weights[0]
+        dense = np.linalg.eigvalsh(h * kernel(x[:, None] - x[None, :]).real)[::-1]
+        lam = dec.eigenvalues
+        assert np.max(np.abs(lam - dense)) <= 1e-14 * lam[0]
+        assert np.all(np.diff(lam) <= 0)
+        xi = dec.eigenfunctions
+        G = xi.T @ (dec.weights[:, None] * xi)
+        assert np.max(np.abs(G - np.eye(n))) <= 1e-12
+
+    def test_peak_memory_below_dense_build(self, kexp):
+        n = 1000
+        discretize(kexp, NystromConfig(16))
+        tracemalloc.start()
+        try:
+            discretize(kexp, NystromConfig(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * n * 8
+
+    def test_eigenfunction_table_is_one_extension(self, dec_exp_400):
+        xs = np.linspace(0.013, 0.987, 7)
+        rows = dec_exp_400.eigenfunction_table([0, 2, 5], xs)
+        cols = dec_exp_400.eigenfunction_at([0, 2, 5], xs).real
+        assert rows == [tuple([x] + list(c)) for x, c in zip(xs, cols)]

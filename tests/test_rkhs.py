@@ -14,6 +14,7 @@ from pdext.rkhs import (KernelCombo, Sampled, complex_exponential,
                         membership_test, reproducing_eval,
                         sampled_from_callable, smooth)
 from pdext.extensions import extend_type1
+from pdext.mercer import hf_inner_via_inverse
 
 
 def section(x):
@@ -387,3 +388,13 @@ class TestReproducingViaSobolevForm:
                 kinks=(float(x),))
             v = exp_inner_product(fx, e)
             assert abs(v - np.exp(1j * lam * x)) < 1e-9
+
+
+class TestMembershipUsesMercerForm:
+    def test_estimates_are_truncated_hf_norms(self, kexp, dec_exp_800):
+        h = lambda x: np.exp(-np.abs(x - 0.4)) + x * x
+        rep = membership_test(h, kexp, 256, dec_exp_800)
+        hv = h(dec_exp_800.nodes)
+        assert rep.estimates == tuple(hf_inner_via_inverse(hv, hv, dec_exp_800, m).real
+                                      for m in (64, 128, 256))
+        assert rep.bound == rep.estimates[-1]

@@ -1,6 +1,8 @@
 """The e_lambda basis over Lambda_theta: one weight, one exponential sum, one
 mu_lambda formula, and F_theta as the Lambda_theta expansion of F_0 = e^{-x}."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,10 @@ from pdext import DomainError
 from pdext.elliptic import mollifier
 from pdext.extensions import (ThetaExpansion, expand_in_theta_basis, extend_type1,
                               sample_via_spectrum, unitary_evolve)
-from pdext.quadrature import UNIT_PANELS
+from pdext.quadrature import GL_POINTS, UNIT_PANELS, panel_nodes
 from pdext.rkhs import (complex_exponential, e_lambda_measure, e_lambda_weights,
                         element_measure_expansion, exp_basis_coefficients,
-                        sampled_from_callable)
+                        exp_sum, sampled_from_callable)
 
 
 def f0():
@@ -126,3 +128,34 @@ class TestUnitaryEvolveSpectrum:
         a = unitary_evolve(ext, 1.1, ext)
         b = unitary_evolve(ThetaExpansion(ext.spectrum, ext.coeffs), 1.1, ext)
         assert np.array_equal(a.coeffs, b.coeffs)
+
+
+class TestBlockedExpSum:
+    """exp_sum forms e^{i lam x} in row blocks; each row is reduced on its
+    own, so the result is the one-shot outer product's, bit for bit."""
+
+    def test_sample_via_spectrum_blocked_and_small(self):
+        ext = extend_type1(0.5, 1000)
+        phi = lambda y: np.sin(3.0 * y) ** 2 + y
+        xs = np.linspace(0.05, 0.95, 19)
+        tracemalloc.start()
+        try:
+            out = sample_via_spectrum(phi, ext, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        y, w = panel_nodes(0.0, 1.0, UNIT_PANELS, GL_POINTS)
+        phihat = np.exp(1j * np.outer(-ext.lambdas, y)) @ (phi(y) * w)
+        ref = np.exp(1j * np.outer(xs, ext.lambdas)) @ (ext.coeffs * phihat)
+        assert np.array_equal(out, ref)
+
+    def test_keeps_the_shape_of_x(self):
+        rng = np.random.default_rng(5)
+        lams = 40.0 * rng.standard_normal(9)
+        c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        x = rng.uniform(0.0, 1.0, (3, 4))
+        out = exp_sum(lams, c, x)
+        assert out.shape == (3, 4)
+        assert np.array_equal(out, (np.exp(1j * np.outer(x, lams)) @ c).reshape(3, 4))
+        assert exp_sum(lams, c, 0.25).shape == ()
