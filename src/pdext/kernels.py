@@ -485,8 +485,9 @@ class PdKernel:
     ``fast_apply(grid, g, m)``, ``poly_exp_kernel_apply`` on that data,
     returns (T_F g, (T_F g)') on the grid in O(n m); ``descriptor`` is the
     elliptic operator T_F^{-1} extends; ``spectrum`` is the transcendental
-    equation of the Mercer eigenvalues.  Consumers take a dense path or raise
-    DomainError when one is None.
+    equation of the Mercer eigenvalues.  Without ``poly_exp``, consumers
+    apply T_F by FFT convolution on a uniform grid (``convolution_apply``);
+    without a descriptor or spectrum they raise DomainError.
     """
 
     family: str

@@ -125,9 +125,10 @@ def kernel_reconstruct(dec: MercerDecomposition, N: int, x: float, y: float) -> 
 def hf_inner_via_inverse(h_nodes: np.ndarray, k_nodes: np.ndarray,
                          dec: MercerDecomposition, m: int) -> complex:
     """<h, k>_{H_F} ~ sum_{n<m} lam_n^{-1} <h, xi_n>_2 <xi_n, k>_2 (spectrally
-    truncated inverse; T_F^{-1} is never formed)."""
+    truncated inverse; T_F^{-1} is never formed).  When k is h, its
+    coefficients are computed once."""
     ch = dec.coefficients(np.asarray(h_nodes), m)
-    ck = dec.coefficients(np.asarray(k_nodes), m)
+    ck = ch if k_nodes is h_nodes else dec.coefficients(np.asarray(k_nodes), m)
     return complex(np.sum(np.conj(ch) * ck / dec.eigenvalues[:m]))
 
 

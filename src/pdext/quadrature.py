@@ -97,7 +97,8 @@ def cell_gl_layout(grid: np.ndarray, m: int = 4):
 
 
 def kernel_apply_on_grid(F, grid: np.ndarray, g, m: int = 4) -> np.ndarray:
-    """Evaluate x_i -> integral of F(x_i - y) g(y) dy over the grid span.
+    """Evaluate x_i -> integral of F(x_i - y) g(y) dy over the grid span:
+    the dense test oracle of convolution_apply and poly_exp_kernel_apply.
 
     F and g are vectorized callables; every grid point is a cell boundary,
     so the kernel kink at y = x_i never falls inside a panel.  Time is
@@ -112,6 +113,43 @@ def kernel_apply_on_grid(F, grid: np.ndarray, g, m: int = 4) -> np.ndarray:
     rows = max(1, _BLOCK_ENTRIES // len(y))
     return np.concatenate([(F(grid[i:i + rows, None] - y[None, :]) * gy[None, :]).sum(axis=1)
                            for i in range(0, len(grid), rows)])
+
+
+def convolution_apply(F, dF, grid: np.ndarray, g, m: int = GL_POINTS):
+    """(T_F g, (T_F g)') on a uniform grid by FFT convolution; the
+    derivative is None when dF is.  The sums are kernel_apply_on_grid's.
+
+    Node q of cell c of the per-cell GL rule is y = x_0 + (c + s_q) h with
+    s_q = (1 + t_q)/2, so x_i - y = (i - c - s_q) h and, over n cells, the
+    apply is sum_q of the linear convolutions of b_q[c] = w g(y) with
+    A_q[k] = F((k - s_q) h), k = 1 - n..n: 2 n m calls of F (and of dF),
+    and one transform of each b_q serves both.  The outputs i = 0..n are
+    entries n - 1..2n - 1 of a convolution of length 3n - 1, so any cyclic
+    length L >= 2n wraps only discarded entries onto them.  A non-uniform
+    grid raises DomainError.
+    """
+    from scipy.fft import next_fast_len
+    from .kernels import simpson_grid   # kernels imports this module
+    grid = simpson_grid(grid)
+    n = len(grid) - 1
+    h = (grid[-1] - grid[0]) / n
+    t, _ = gl_rule(m)
+    nodes, weights = cell_gl_layout(grid, m)
+    b = (weights * g(nodes)).T
+    offsets = (np.arange(1 - n, n + 1)[None, :] - 0.5 * (1.0 + t)[:, None]) * h
+    A = [f(offsets) for f in ((F,) if dF is None else (F, dF))]
+    cplx = np.iscomplexobj(b) or any(np.iscomplexobj(a) for a in A)
+    # The transforms run in long double: in float64 their rounding, relative
+    # to the largest term, reaches the smallest outputs and costs digits the
+    # dense sum keeps; in long double only the float64 inputs' rounding,
+    # which the dense sum shares, is left.
+    dtype, fwd, inv = ((np.clongdouble, np.fft.fft, np.fft.ifft) if cplx
+                       else (np.longdouble, np.fft.rfft, np.fft.irfft))
+    L = next_fast_len(2 * n, real=True)
+    B = fwd(b.astype(dtype), L)
+    out = [inv(np.sum(B * fwd(a.astype(dtype), L), axis=0), L)[n - 1:2 * n]
+           .astype(complex if cplx else float) for a in A]
+    return out[0], (out[1] if dF is not None else None)
 
 
 def poly_exp_kernel_apply(coeffs, rate: float, grid: np.ndarray, g, m: int = GL_POINTS):

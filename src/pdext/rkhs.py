@@ -26,8 +26,8 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .kernels import (EXP_DESCRIPTOR, MEASURE_GRID_POINTS, DomainError,
                       MeasureOnInterval, PdKernel, descriptor_for_kernel, simpson_grid)
-from .quadrature import (_BLOCK_ENTRIES, GL_POINTS, UNIT_PANELS, integrate,
-                         kernel_apply_on_grid, simpson, split_panel_nodes)
+from .quadrature import (_BLOCK_ENTRIES, GL_POINTS, UNIT_PANELS, convolution_apply,
+                         integrate, simpson, split_panel_nodes)
 
 
 @dataclass(frozen=True)
@@ -262,11 +262,11 @@ def exp_basis_coefficients(h: Sampled, lambdas: Sequence[float]) -> np.ndarray:
 
 def _apply(kernel: PdKernel, grid, g, deriv: bool = True):
     """(T_F g, (T_F g)') on the grid: the kernel's fast apply when attached,
-    else kink-split dense quadrature (the derivative only when asked for)."""
+    else FFT convolution on the uniform grid (the derivative only when asked
+    for)."""
     if kernel.fast_apply is not None:
         return kernel.fast_apply(grid, g, m=GL_POINTS)
-    values = kernel_apply_on_grid(kernel, grid, g, m=GL_POINTS)
-    return values, kernel_apply_on_grid(kernel.deriv, grid, g, m=GL_POINTS) if deriv else None
+    return convolution_apply(kernel, kernel.deriv if deriv else None, grid, g, GL_POINTS)
 
 
 def smooth(phi, kernel: PdKernel, n: int = 2000) -> Sampled:
