@@ -487,7 +487,10 @@ class PdKernel:
     elliptic operator T_F^{-1} extends; ``spectrum`` is the transcendental
     equation of the Mercer eigenvalues.  Without ``poly_exp``, consumers
     apply T_F by FFT convolution on a uniform grid (``convolution_apply``);
-    without a descriptor or spectrum they raise DomainError.
+    without a descriptor or spectrum they raise DomainError.  ``knots`` are
+    the offsets t in (0, a], besides the kink at 0, where F'' jumps (the x
+    nodes of a table, the integer knots of ``bsplinex:k``); the quadrature
+    oracle ``mercer.apply_operator`` splits its integrals there.
     """
 
     family: str
@@ -499,6 +502,7 @@ class PdKernel:
     poly_exp: Optional[tuple[tuple[float, ...], float]] = None
     descriptor: Optional[EllipticDescriptor] = None
     spectrum: Optional[TranscendentalSpec] = None
+    knots: tuple[float, ...] = ()
 
     @property
     def fast_apply(self) -> Optional[Callable]:
@@ -566,6 +570,13 @@ def triangle_kernel() -> PdKernel:
     )
 
 
+# sinc'(x) = pi (u cos u - sin u) / u^2 with u = pi x.  The difference
+# cancels as |u| falls (to -u^3/3: F' near 0 lost a digit per decade of x),
+# so below |u| = 1 it is summed from its series,
+# (u cos u - sin u) / u^2 = u sum_{j>=1} (-1)^j 2j u^{2j-2} / (2j+1)!.
+_SINC_DERIV_SERIES = tuple((-1) ** j * 2 * j / math.factorial(2 * j + 1) for j in range(1, 11))
+
+
 def bspline_kernel(k: int, half_width: float = 1.0) -> PdKernel:
     """F_k(x) = (sin pi x / pi x)^k; frequency density is the compactly
     supported box autoconvolution B^{*k}(l / 2pi) / 2pi on [-k pi, k pi]."""
@@ -582,10 +593,11 @@ def bspline_kernel(k: int, half_width: float = 1.0) -> PdKernel:
     def dv(x):
         x = np.asarray(x, dtype=float)
         s = np.sinc(x)
+        u = np.pi * x
         with np.errstate(divide="ignore", invalid="ignore"):
-            ds = np.where(np.abs(x) < 1e-8, -np.pi ** 2 * x / 3.0,
-                          (np.cos(np.pi * x) - s) / np.where(x == 0, 1.0, x))
-        return k * s ** (k - 1) * ds
+            far = (np.cos(u) - s) / x
+        near = np.pi * u * np.polynomial.polynomial.polyval(u * u, _SINC_DERIV_SERIES)
+        return k * s ** (k - 1) * np.where(np.abs(u) < 1.0, near, far)
 
     return PdKernel(family=f"bspline:{k}", half_width=half_width,
                     evaluate=ev, derivative=dv, deriv_at_zero=(0.0, 0.0),
@@ -644,7 +656,8 @@ def bspline_x_kernel(k: int, half_width: float = 0.5) -> PdKernel:
                     measure=meas,
                     poly_exp=(coeffs, 0.0) if half_width <= 1.0 else None,
                     descriptor=TRIANGLE_DESCRIPTOR if triangle else None,
-                    spectrum=triangle_bvp_spec() if triangle else None)
+                    spectrum=triangle_bvp_spec() if triangle else None,
+                    knots=tuple(float(j) for j in range(1, min(k // 2, int(half_width)) + 1)))
 
 
 def tabulated_kernel(x: Sequence[float], F: Sequence[float],
@@ -670,7 +683,8 @@ def tabulated_kernel(x: Sequence[float], F: Sequence[float],
         return np.sign(t) * dspl(np.abs(t))
 
     return PdKernel(family="table", half_width=a, evaluate=ev, derivative=dv,
-                    deriv_at_zero=(-float(dF[0]), float(dF[0])))
+                    deriv_at_zero=(-float(dF[0]), float(dF[0])),
+                    knots=tuple(x[1:].tolist()))
 
 
 def tabulated_kernel_from_csv(path: str) -> PdKernel:

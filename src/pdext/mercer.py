@@ -4,7 +4,14 @@
 the discrete trace exactly equal to a (diagonal entries are F(0) = 1 and the
 weights sum to a), which is what the trace identity check relies on.  On
 uniform nodes the matrix h F(x_i - x_j) depends only on |i - j|, so it is
-the symmetric Toeplitz matrix of one kernel row.
+the symmetric Toeplitz matrix of one kernel row.  Such a matrix is also
+centrosymmetric: it commutes with the reversal of the nodes about a/2, so its
+eigenvectors are even or odd there and ``discretize`` diagonalizes two
+half-size blocks (even and odd) in place of one n-square matrix.  Both blocks
+keep every eigenvalue and their traces add up to the matrix trace, so the
+trace identity check still reads sum lam.  For the triangle the two halves
+are the two root families of the paper, cos(k/4) = 0 (odd) and
+tan(k/4) = 4/(3k) (even).
 """
 
 from __future__ import annotations
@@ -91,11 +98,23 @@ def discretize(kernel: PdKernel, cfg: NystromConfig = NystromConfig()) -> Mercer
     """Midpoint Nystrom matrix h F(x_i - x_j) on n uniform nodes, diagonalized.
 
     The entry depends only on |i - j| (F(x - y) is a convolution and Re F is
-    even), so the matrix is the symmetric Toeplitz matrix of the row
-    h F(x_k - x_0): the kernel is called on n offsets and eigh reads a
-    strided view of that row, with no n^2 copy of its own.  eigh returns the
-    eigenvalues ascending; reversed, they and the eigenvectors / sqrt(h) (the
-    node samples of xi_n) come out descending.
+    even), so the matrix T is the symmetric Toeplitz matrix of the row
+    h F(x_k - x_0), read through a strided view with no n^2 copy.  T commutes
+    with the reversal J of the nodes about a/2, so each eigenvector is even
+    or odd and the spectrum splits exactly into two half-size blocks.  With
+    n = 2p or 2p + 1, B = T[:p, :p] and CJ = T[:p, -p:] reversed by column:
+
+    * even, [u; (middle); J u] / sqrt 2: B + CJ, bordered for odd n by the
+      middle node's row and column (2 T_pj and 2 T_pp in the folded sum)
+      divided by sqrt 2, so the block stays symmetric and the middle sample
+      is the eigenvector entry itself;
+    * odd, [u; (0); -J u] / sqrt 2: B - CJ.
+
+    Every eigenvalue of both blocks is kept, so the trace of the pair,
+    2 tr B + (T_pp for odd n), is tr T = n h F(0) and trace() = sum lam keeps
+    its meaning.  The two lists merge into one descending order, and each
+    block's eigenvectors / sqrt(h) (the node samples of xi_n) are written
+    straight into their output columns.
     """
     n = cfg.node_count
     a = kernel.half_width
@@ -103,14 +122,37 @@ def discretize(kernel: PdKernel, cfg: NystromConfig = NystromConfig()) -> Mercer
     nodes = (np.arange(n) + 0.5) * h
     weights = np.full(n, h)
     row = h * kernel(nodes - nodes[0]).real
-    toeplitz = sliding_window_view(np.concatenate([row[:0:-1], row]), n)[::-1]
-    lam, U = np.linalg.eigh(toeplitz)
-    lam = lam[::-1]
+    T = sliding_window_view(np.concatenate([row[:0:-1], row]), n)[::-1]
+    p, q = n // 2, n - n // 2          # q = p + 1 holds the middle node of odd n
+    even = T[:q, :q] + T[:q, p:][:, ::-1]
+    even[p:] /= np.sqrt(2.0)
+    even[:, p:] /= np.sqrt(2.0)
+    lam_e, Ue = np.linalg.eigh(even)
+    del even                        # before the odd block: the peak stays ~1.5 n^2 doubles
+    lam_o, Uo = np.linalg.eigh(T[:p, :p] - T[:p, q:][:, ::-1])
+    lam = np.concatenate([lam_e, lam_o])
+    order = np.argsort(lam)[::-1]
+    lam = lam[order]
     if lam[-1] < -EPS_PSD:
         raise DomainError(
             f"kernel '{kernel.family}' rejected: Nystrom matrix has eigenvalue "
             f"{lam[-1]:.3e} < -{EPS_PSD}")
-    return MercerDecomposition(kernel, nodes, weights, lam, U[:, ::-1] / np.sqrt(h))
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    ce, co = column[:q], column[q:]
+    Ue[:p] /= np.sqrt(2.0 * h)
+    Ue[p:] /= np.sqrt(h)             # the middle node of odd n
+    Uo /= np.sqrt(2.0 * h)
+    # row m of xt is xi_m at the nodes: whole rows are written, and xt.T
+    # serves columns to the consumers
+    xt = np.empty((n, n))
+    xt[ce, :q] = Ue.T
+    xt[ce, q:] = Ue[:p][::-1].T
+    xt[co, :p] = Uo.T
+    xt[co, p:q] = 0.0
+    np.negative(Uo, out=Uo)
+    xt[co, q:] = Uo[::-1].T
+    return MercerDecomposition(kernel, nodes, weights, lam, xt.T)
 
 
 def kernel_reconstruct(dec: MercerDecomposition, N: int, x: float, y: float) -> complex:
@@ -149,17 +191,25 @@ def volterra_apply(f: Callable[[np.ndarray], np.ndarray], n: int = 800,
 
 
 def apply_operator(kernel: PdKernel, f: Callable, xs) -> np.ndarray:
-    """Oracle-grade (T_F f)(x) by adaptive quadrature with the kink split
-    at y = x; independent of both the Nystrom matrix and exp_kernel_apply."""
+    """Oracle-grade (T_F f)(x) by adaptive quadrature split where the
+    integrand is not smooth: the kink at y = x and y = x -+ t for each of the
+    kernel's knots t; independent of both the Nystrom matrix and
+    exp_kernel_apply.  A table has a knot at every node, so each integral
+    runs over about as many pieces as the table has nodes: the offsets are
+    checked once, F is evaluated without the per-call domain check, and the
+    imaginary part is integrated only for a complex-valued integrand."""
     a = kernel.half_width
+    knots = np.asarray(kernel.knots, dtype=float)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    kernel(np.concatenate([xs, xs - a]))      # DomainError if some x - y leaves [-a, a]
+    F = kernel.evaluate
     out = np.empty(len(xs), dtype=complex)
     for i, x in enumerate(xs):
-        re = quad(lambda y: (kernel(x - y) * f(y)).real, 0.0, a,
-                  points=[x] if 0 < x < a else None, limit=200)[0]
-        im = quad(lambda y: (kernel(x - y) * f(y)).imag, 0.0, a,
-                  points=[x] if 0 < x < a else None, limit=200)[0]
-        out[i] = re + 1j * im
+        pts = np.concatenate([[x], x - knots, x + knots])
+        pts = np.unique(pts[(pts > 0) & (pts < a)])
+        out[i] = quad(lambda y: F(x - y) * f(y), 0.0, a,
+                      complex_func=np.iscomplexobj(F(0.0) * f(x)),
+                      points=pts if pts.size else None, limit=200 + pts.size)[0]
     return out if np.max(np.abs(out.imag)) > 1e-13 else out.real
 
 
