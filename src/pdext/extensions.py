@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import polygamma
 
 from .elliptic import bracketed_roots
 from .kernels import (EPS_PSD, DomainError, PdKernel, SpectralMeasure,
@@ -95,13 +93,26 @@ def boundary_condition_check(h: Sampled, theta: float) -> float:
 # type 1 extensions
 # ---------------------------------------------------------------------------
 
+def _trigamma(x: float) -> float:
+    """psi_1(x) = sum_{k>=0} (x+k)^{-2}: the recurrence
+    psi_1(x) = psi_1(x+1) + 1/x^2 up to y >= 20, then the asymptotic series
+    psi_1(y) ~ 1/y + 1/(2y^2) + sum_k B_2k / y^(2k+1) through B_14, all
+    terms summed by fsum."""
+    n = max(0, math.ceil(20.0 - x))
+    y = x + n
+    t = 1.0 / (y * y)
+    tail = (1.0 + 0.5 / y + t * (1 / 6 + t * (-1 / 30 + t * (1 / 42 + t * (
+        -1 / 30 + t * (5 / 66 + t * (-691 / 2730 + t * 7 / 6))))))) / y
+    return math.fsum([tail] + [1.0 / ((x + k) * (x + k)) for k in range(n)])
+
+
 def _tail_bound(theta: float, N: int) -> float:
     """Closed-form majorant of sum_{|n|>N} 2/(lam_n^2+3): every excluded
     eigenvalue obeys |lam_n| >= (2|n|-1) pi - theta (window membership), and
     sum_{n>N} ((2n-1) pi +- theta)^{-2} is a trigamma value."""
     th = float(theta) % (2.0 * math.pi)
-    s = polygamma(1, N + 0.5 + th / (2 * math.pi)) \
-        + polygamma(1, N + 0.5 - th / (2 * math.pi))
+    s = _trigamma(N + 0.5 + th / (2 * math.pi)) \
+        + _trigamma(N + 0.5 - th / (2 * math.pi))
     return float(2.0 * s / (4.0 * math.pi ** 2))
 
 
@@ -314,6 +325,7 @@ class TypeTwoExtension:
     def reconstruct(self, x: float) -> float:
         """int e^{i l x} ghat_r(l) dl (+ atom contribution), via product-to-sum
         splitting so every oscillatory piece is a QUADPACK Fourier integral."""
+        from scipy.integrate import quad
         ax = abs(float(x))
         smooth, terms = _gr_terms(self.r)
         # QAWF needs a genuinely nonzero frequency

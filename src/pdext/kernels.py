@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import CubicHermiteSpline
 
 from .quadrature import GL_POINTS, exp_kernel_apply, integrate, poly_exp_kernel_apply, simpson
 
@@ -58,6 +56,7 @@ def _quiet_quad(f, a, b, **kw):
     """quad with the subdivision-cap warning silenced: slowly oscillating
     tails trip the cap while the returned estimate is already at the
     accuracy the callers assert in tests."""
+    from scipy.integrate import IntegrationWarning, quad
     kw.setdefault("limit", 800)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
@@ -671,6 +670,7 @@ def tabulated_kernel(x: Sequence[float], F: Sequence[float],
         raise DomainError("table must start at x = 0")
     if F[0] <= 0:
         raise DomainError("F(0) must be positive")
+    from scipy.interpolate import CubicHermiteSpline
     a = float(x[-1])
     spl = CubicHermiteSpline(x, F, dF)
     dspl = spl.derivative()

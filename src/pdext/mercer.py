@@ -21,7 +21,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import quad
 
 from .kernels import (EPS_PSD, DomainError, PdKernel, descriptor_for_kernel,
                       kernel_from_name)
@@ -198,6 +197,7 @@ def apply_operator(kernel: PdKernel, f: Callable, xs) -> np.ndarray:
     runs over about as many pieces as the table has nodes: the offsets are
     checked once, F is evaluated without the per-call domain check, and the
     imaginary part is integrated only for a complex-valued integrand."""
+    from scipy.integrate import quad
     a = kernel.half_width
     knots = np.asarray(kernel.knots, dtype=float)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))

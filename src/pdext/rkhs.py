@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .kernels import (EXP_DESCRIPTOR, MEASURE_GRID_POINTS, DomainError,
                       MeasureOnInterval, PdKernel, descriptor_for_kernel, simpson_grid)
@@ -91,6 +90,7 @@ class Sampled:
     def interpolator(self):
         if self.fn is not None:
             return self.fn
+        from scipy.interpolate import CubicHermiteSpline
         dv = self.dvalues
         if dv is None:
             dv = fd_derivative(self.values, self.grid[1] - self.grid[0])
