@@ -94,10 +94,11 @@ def boundary_condition_check(h: Sampled, theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _trigamma(x: float) -> float:
-    """psi_1(x) = sum_{k>=0} (x+k)^{-2}: the recurrence
-    psi_1(x) = psi_1(x+1) + 1/x^2 up to y >= 20, then the asymptotic series
-    psi_1(y) ~ 1/y + 1/(2y^2) + sum_k B_2k / y^(2k+1) through B_14, all
-    terms summed by fsum."""
+    """psi_1(x) = sum_{k>=0} (x+k)^{-2} for x > 0, without scipy.special
+    on the import path: the recurrence psi_1(x) = psi_1(x+1) + 1/x^2 shifts
+    x to y = x + n >= 20, where the asymptotic series
+    1/y + 1/(2y^2) + sum_k B_2k / y^(2k+1) through B_14 is exact to double
+    precision; fsum adds the n + 1 terms."""
     n = max(0, math.ceil(20.0 - x))
     y = x + n
     t = 1.0 / (y * y)
