@@ -92,14 +92,31 @@ class TailDescriptor:
     density(l) ~ coeff * |l|^{-exponent} (averaged over oscillations).
     ``TailDescriptor.none()`` declares compact support (no mass beyond the
     grid); a measure with ``tail=None`` has an *unknown* tail that
-    second_moment must fit from the samples."""
+    second_moment must fit from the samples.
+
+    ``terms``, when present, is the exact tail: density(l) =
+    sum c cos(w l) |l|^{-p} over the triples (c, w, p) for |l| beyond the
+    cutoff, with w >= 0 and integer p >= 2.  ``from_terms`` derives the
+    envelope from them."""
 
     exponent: float
     coeff: float
+    terms: tuple[tuple[float, float, int], ...] = ()
 
     @staticmethod
     def none() -> "TailDescriptor":
         return TailDescriptor(math.inf, 0.0)
+
+    @staticmethod
+    def from_terms(terms) -> "TailDescriptor":
+        """Exact tail sum c cos(w l) |l|^{-p}; the envelope exponent is the
+        smallest p and its coeff the sum of c over the w = 0 terms there."""
+        terms = tuple((float(c), float(w), int(p)) for c, w, p in terms)
+        if not terms or any(w < 0 or p < 2 for _, w, p in terms):
+            raise DomainError("tail terms need w >= 0 and an integer p >= 2")
+        p_min = min(p for _, _, p in terms)
+        coeff = sum((c for c, w, p in terms if w == 0.0 and p == p_min), 0.0)
+        return TailDescriptor(float(p_min), coeff, terms)
 
     @property
     def is_zero(self) -> bool:
@@ -111,7 +128,9 @@ class SpectralMeasure:
     """Finite positive Borel measure: density on a uniform symmetric grid, atoms.
 
     ``density_fn``, when present, is the exact density used for tail
-    corrections; the grid samples stay the canonical payload.
+    corrections of a tail without ``terms``; the grid samples stay the
+    canonical payload.  A tail with terms needs a symmetric grid, since its
+    closed form starts both tails at +-cutoff.
     """
 
     grid: np.ndarray
@@ -132,12 +151,17 @@ class SpectralMeasure:
         for _, w in self.atoms:
             if w <= 0:
                 raise ValueError("atom weights must be positive")
+        if self.tail is not None and self.tail.terms and \
+                (len(grid) < 2 or grid[0] != -grid[-1]):
+            raise DomainError("a tail with terms needs a symmetric grid, grid[0] = -grid[-1]")
 
     @property
     def cutoff(self) -> float:
         return float(np.max(np.abs(self.grid))) if len(self.grid) else 0.0
 
     def tail_mass(self) -> float:
+        if self.tail is not None and self.tail.terms:
+            return _closed_form_tail(self.tail.terms, self.cutoff, 0.0)
         if self.tail is not None and self.tail.is_zero:
             return 0.0
         if self.tail is None and self.density_fn is None:
@@ -178,19 +202,80 @@ class SpectralMeasure:
         )
 
 
+def _expint_cf(n: int, z: np.ndarray) -> np.ndarray:
+    """E_n(z) = int_1^inf e^{-zt} t^{-n} dt by its continued fraction
+    (modified Lentz), which converges fast for |z| > n."""
+    b = z + n
+    c = np.full_like(z, 1e300)
+    d = 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        a = -i * (n - 1 + i)
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        h = h * c * d
+        if np.all(np.abs(c * d - 1.0) <= np.finfo(float).eps):
+            break
+    return h * np.exp(-z)
+
+
+def _cos_power_integrals(b: np.ndarray, L: float, n_max: int) -> np.ndarray:
+    """Rows n = 0..n_max of J_n(b) = int_L^inf cos(b l) l^{-n} dl for b >= 0,
+    as L^{1-n} Re E_n(-ibL); rows 0 and 1 hold for b > 0 only.
+
+    Upward, from E_1(-iy) = -Ci(y) + i(pi/2 - Si(y)) by
+    E_n = (e^{iy} + iy E_{n-1}) / (n-1), which for J is
+    J_n = [cos(bL) L^{1-n} - b K_{n-1}] / (n-1) with K_n the sine integral.
+    That multiplies the absolute error of E_1 by about y^{n-1}/(n-1)!, so J_n
+    carries eps b^{n-1}/(n-1)!: harmless for b <= 1 or y <= n_max.  Past
+    both, E_{n_max} comes from its continued fraction and the recursion runs
+    downward, E_{n-1} = (e^{iy} - (n-1) E_n) / (-iy), where y > n_max damps
+    errors.  At b = 0, E_1 diverges but enters only times y = 0, which
+    gives J_n = L^{1-n} / (n-1)."""
+    from scipy.special import sici
+    y = b * L
+    E = np.zeros((n_max + 1, len(b)), dtype=complex)
+    up = (b <= 1.0) | (y <= n_max)
+    yu = y[up]
+    si, ci = sici(np.where(yu > 0, yu, 1.0))
+    E[1, up] = np.where(yu > 0, -ci + 1j * (0.5 * np.pi - si), 0.0)
+    for n in range(2, n_max + 1):
+        E[n, up] = (np.exp(1j * yu) + 1j * yu * E[n - 1, up]) / (n - 1)
+    yd = y[~up]
+    E[n_max, ~up] = _expint_cf(n_max, -1j * yd)
+    for n in range(n_max, 1, -1):
+        E[n - 1, ~up] = (np.exp(1j * yd) - (n - 1) * E[n, ~up]) / (-1j * yd)
+    return L ** (1.0 - np.arange(n_max + 1))[:, None] * E.real
+
+
+def _closed_form_tail(terms, L: float, x: float) -> float:
+    """int_{|l| > L} e^{i l x} sum c cos(w l) |l|^{-p} dl
+    = sum c [J_p(|x - w|) + J_p(|x + w|)], real since the tail is even;
+    one ``sici`` call over the distinct b."""
+    c, w, p = (np.array(v) for v in zip(*terms))
+    b, inverse = np.unique(np.abs(np.concatenate([x - w, x + w])), return_inverse=True)
+    J = _cos_power_integrals(b, L, int(p.max()))
+    return float(np.dot(np.concatenate([c, c]), J[np.concatenate([p, p]), inverse]))
+
+
 def _tail_fourier(measure: SpectralMeasure, x: float) -> complex:
-    """int_{|l| > L} e^{i l x} density(l) dl, by QAWF on the exact density
-    when available, else on the power-law envelope."""
+    """int_{|l| > L} e^{i l x} density(l) dl: in closed form from the tail's
+    terms when it has them, else by QAWF on the exact density when
+    available, else on the power-law envelope."""
     L = measure.cutoff
-    if measure.density_fn is None and measure.tail is None:
+    tail = measure.tail
+    if tail is not None and tail.terms:
+        return _closed_form_tail(tail.terms, L, x)
+    if measure.density_fn is None and tail is None:
         return 0.0
-    if measure.tail is not None and measure.tail.is_zero and measure.density_fn is None:
+    if tail is not None and tail.is_zero and measure.density_fn is None:
         return 0.0
     if measure.density_fn is not None:
         f = measure.density_fn
         fm = lambda l: f(-l)
     else:
-        p, c = measure.tail.exponent, measure.tail.coeff
+        p, c = tail.exponent, tail.coeff
         f = lambda l: c * l ** (-p)
         fm = f
     if abs(x) < 1e-12:
@@ -204,7 +289,9 @@ def _tail_fourier(measure: SpectralMeasure, x: float) -> complex:
 
 def bochner_transform(measure: SpectralMeasure, x: float) -> complex:
     """mu_hat(x) = int e^{i l x} dmu(l); atoms summed exactly, grid density
-    by Simpson, tail by QAWF Fourier correction."""
+    by Simpson, the density past the cutoff by ``_tail_fourier``: in closed
+    form for every built-in measure, by QAWF for a tail known only as a
+    ``density_fn`` or an envelope (hand-built or read from JSON)."""
     x = float(x)
     total = 0.0 + 0.0j
     if len(measure.grid) > 1:
@@ -525,10 +612,11 @@ class PdKernel:
 
 
 def _cauchy_measure() -> SpectralMeasure:
-    fn = lambda l: 1.0 / (np.pi * (1.0 + l * l))
     grid = np.linspace(-200.0, 200.0, 20001)
-    return SpectralMeasure(grid, fn(grid), tail=TailDescriptor(2.0, 1.0 / np.pi),
-                           density_fn=fn)
+    # 1/(pi(1 + l^2)) = sum_i (-1)^i l^{-2-2i} / pi for |l| > 1; past l = 200
+    # the terms after the sixth are below 2.5e-5^6 relative
+    tail = TailDescriptor.from_terms(((-1.0) ** i / np.pi, 0.0, 2 + 2 * i) for i in range(6))
+    return SpectralMeasure(grid, 1.0 / (np.pi * (1.0 + grid * grid)), tail=tail)
 
 
 def exp_kernel() -> PdKernel:
@@ -545,18 +633,13 @@ def exp_kernel() -> PdKernel:
     )
 
 
-def _triangle_density(l):
-    l = np.asarray(l, dtype=float)
-    return np.sinc(l / (2.0 * np.pi)) ** 2 / (2.0 * np.pi)
-
-
 def triangle_kernel() -> PdKernel:
     """F(x) = 1 - |x| on (-1/2, 1/2); frequency density (1/2pi) sinc^2(l/2pi)."""
     L = 80.0 * np.pi
     grid = np.linspace(-L, L, 60001)
-    meas = SpectralMeasure(grid, _triangle_density(grid),
-                           tail=TailDescriptor(2.0, 1.0 / np.pi),
-                           density_fn=_triangle_density)
+    # (1/2pi) sinc^2(l/2pi) = (1 - cos l) / (pi l^2)
+    tail = TailDescriptor.from_terms(((1.0 / np.pi, 0.0, 2), (-1.0 / np.pi, 1.0, 2)))
+    meas = SpectralMeasure(grid, np.sinc(grid / (2.0 * np.pi)) ** 2 / (2.0 * np.pi), tail=tail)
     return PdKernel(
         family="triangle", half_width=0.5,
         evaluate=lambda x: 1.0 - np.abs(x),
@@ -628,15 +711,16 @@ def bspline_x_kernel(k: int, half_width: float = 0.5) -> PdKernel:
                           "is negative somewhere for odd k")
     b0 = float(bspline_autoconvolution(k, 0.0))
     scale = 1.0 / (2.0 * np.pi * b0)
-    dens = lambda l: scale * np.sinc(np.asarray(l) / (2.0 * np.pi)) ** k
-    # density(l) = scale (sin(l/2)/(l/2))^k ~ scale * mean(sin^k) * (2/l)^k
-    mean_sink = math.comb(k, k // 2) / 2.0 ** k
-    coeff = scale * mean_sink * 2.0 ** k
     L = 600.0
     grid = np.linspace(-L, L, 120001)
-    meas = SpectralMeasure(grid, dens(grid),
-                           tail=TailDescriptor(float(k), coeff),
-                           density_fn=dens)
+    # density(l) = scale 2^k sin^k(l/2) / l^k, and for even k
+    # 2^k sin^k u = C(k, k/2) + 2 sum_{j<k/2} (-1)^{k/2-j} C(k, j) cos((k-2j) u)
+    half = k // 2
+    terms = [(scale * math.comb(k, half), 0.0, k)]
+    terms += [(scale * 2 * (-1) ** (half - j) * math.comb(k, j), half - j, k)
+              for j in range(half)]
+    meas = SpectralMeasure(grid, scale * np.sinc(grid / (2.0 * np.pi)) ** k,
+                           tail=TailDescriptor.from_terms(terms))
 
     def ev(x):
         return bspline_autoconvolution(k, np.asarray(x, dtype=float)) / b0

@@ -1,9 +1,9 @@
 """``import pdext`` and the numpy-only README commands load no scipy module.
 
 Each case runs in a fresh interpreter, since the test process itself has
-scipy loaded.  Only the QUADPACK paths (``isometry``'s Bochner transforms
-and ``extend --r``'s G_r reconstruction) import ``scipy.integrate``, on
-first use.
+scipy loaded.  Only the QUADPACK path (``extend --r``'s G_r reconstruction)
+imports ``scipy.integrate``, on first use; ``isometry``'s Bochner transforms
+take their closed-form tails from ``scipy.special`` alone.
 """
 
 import json
@@ -40,7 +40,6 @@ NUMPY_ONLY = [
 ]
 QUADPACK = [
     "extend --r 0.8 --points 401",
-    "isometry",
 ]
 
 
@@ -81,3 +80,10 @@ def test_quadpack_command_loads_scipy_integrate_on_demand(command, workdir):
     got = child(CHILD, command.split(), workdir)
     assert got["code"] == 0
     assert "scipy.integrate" in got["scipy"]
+
+
+def test_isometry_loads_scipy_special_not_integrate(workdir):
+    got = child(CHILD, ["isometry"], workdir)
+    assert got["code"] == 0
+    assert "scipy.special" in got["scipy"]
+    assert "scipy.integrate" not in got["scipy"]
