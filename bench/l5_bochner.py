@@ -10,9 +10,10 @@ Run from the repository root:
 Measures: exp (Cauchy), triangle, ``bsplinex:2`` at a = 1/2, ``bsplinex:4``
 at a = 1/2 and 1 and ``bsplinex:6`` at a = 1/2.  Each carries its tail past
 the cutoff L as terms c cos(w l) |l|^{-p}, which ``bochner_transform`` sums
-in closed form.  The QAWF side is the same measure with the terms stripped:
-the envelope plus a ``density_fn`` that sums the same terms, so QUADPACK
-integrates exactly the tail the closed form does.  For each measure and x
+in closed form.  The QAWF side is the same measure with its tail undeclared
+(``tail=None``) and a ``density_fn`` that sums the same terms, so QUADPACK
+integrates exactly the tail the closed form does; the script stops with an
+error if a QAWF case does not reach QUADPACK.  For each measure and x
 it records the median wall time of one ``bochner_transform`` call on each
 side and |mu_hat(x) - F(x)|, the oracle being the kernel on [-a, a]; the
 summary gives per measure the median and slowest time and the largest error.
@@ -32,8 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from l2_apply import commit, timed
-from pdext import bochner_transform, bspline_x_kernel, exp_kernel, triangle_kernel
-from pdext.kernels import TailDescriptor
+from pdext import bochner_transform, bspline_x_kernel, exp_kernel, kernels, triangle_kernel
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,22 +48,34 @@ MEASURES = {
 
 
 def without_terms(measure):
-    """The measure with its tail as an envelope and a density_fn summing
-    the terms: the QAWF path of ``bochner_transform``."""
+    """The measure with an undeclared tail and a density_fn summing the
+    terms: the QAWF path of ``bochner_transform``."""
     terms = measure.tail.terms
 
     def density(l):
         l = np.asarray(l, dtype=float)
         return sum(c * np.cos(w * l) * np.abs(l) ** -float(p) for c, w, p in terms)
 
-    tail = TailDescriptor(measure.tail.exponent, measure.tail.coeff)
-    return dataclasses.replace(measure, tail=tail, density_fn=density)
+    return dataclasses.replace(measure, tail=None, density_fn=density)
+
+
+def counting_quad(fn):
+    """(fn(), the number of ``kernels._quiet_quad`` calls it made)."""
+    real, calls = kernels._quiet_quad, []
+    kernels._quiet_quad = lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    try:
+        return fn(), len(calls)
+    finally:
+        kernels._quiet_quad = real
 
 
 def case(name: str, kernel, measure, x: float, repeats: int) -> dict:
     F = float(kernel(x))
     closed_s, closed_runs, closed = timed(lambda: bochner_transform(kernel.measure, x), repeats)
-    qawf_s, qawf_runs, qawf = timed(lambda: bochner_transform(measure, x), repeats)
+    (qawf_s, qawf_runs, qawf), calls = counting_quad(
+        lambda: timed(lambda: bochner_transform(measure, x), repeats))
+    if not calls:
+        raise RuntimeError(f"the QAWF side of {name} at x = {x} did not reach QUADPACK")
     return {
         "measure": name, "x": x,
         "closed_s": closed_s, "qawf_s": qawf_s, "speedup": qawf_s / closed_s,

@@ -64,6 +64,11 @@ def _emit(rows, header, args, extra_json=None) -> None:
         if extra_json:
             payload.update(extra_json)
         text = json.dumps(payload, indent=1) + "\n"
+    _output(text, args)
+
+
+def _output(text: str, args) -> None:
+    """Write ``text`` to ``args.out`` atomically, or to stdout without one."""
     if args.out:
         _write_atomic(args.out, text)
     else:
@@ -209,11 +214,7 @@ def cmd_isometry(args) -> int:
         trials=args.trials, tol=args.tol)
     payload = {"passed": report.passed, "max_gap": report.max_gap,
                "psd_ok": report.psd_ok, "points": S}
-    text = json.dumps(payload, indent=1) + "\n"
-    if args.out:
-        _write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _output(json.dumps(payload, indent=1) + "\n", args)
     return 0 if report.passed else 3
 
 

@@ -88,20 +88,26 @@ def bspline_autoconvolution(k: int, u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TailDescriptor:
-    """Power-law envelope of a density outside the stored grid:
-    density(l) ~ coeff * |l|^{-exponent} (averaged over oscillations).
-    ``TailDescriptor.none()`` declares compact support (no mass beyond the
-    grid); a measure with ``tail=None`` has an *unknown* tail that
-    second_moment must fit from the samples.
-
-    ``terms``, when present, is the exact tail: density(l) =
-    sum c cos(w l) |l|^{-p} over the triples (c, w, p) for |l| beyond the
-    cutoff, with w >= 0 and integer p >= 2.  ``from_terms`` derives the
-    envelope from them."""
+    """The density past the grid cutoff as ``terms``: density(l) =
+    sum c cos(w l) |l|^{-p} over the triples (c, w, p), w >= 0, integer
+    p >= 2.  ``exponent`` and ``coeff`` are its power-law envelope
+    coeff |l|^{-exponent} (averaged over oscillations), which
+    ``second_moment`` reads; given without terms, the envelope is the one
+    term (coeff, 0, exponent).  ``TailDescriptor.none()`` declares compact
+    support; a measure with ``tail=None`` has an *unknown* tail that
+    second_moment must fit from the samples."""
 
     exponent: float
     coeff: float
     terms: tuple[tuple[float, float, int], ...] = ()
+
+    def __post_init__(self):
+        terms = self.terms
+        if not terms and self.coeff != 0.0:
+            terms = ((self.coeff, 0.0, self.exponent),)
+        if any(w < 0 or not float(p).is_integer() or p < 2 for _, w, p in terms):
+            raise DomainError("tail terms need w >= 0 and an integer p >= 2")
+        object.__setattr__(self, "terms", tuple((float(c), float(w), int(p)) for c, w, p in terms))
 
     @staticmethod
     def none() -> "TailDescriptor":
@@ -111,26 +117,25 @@ class TailDescriptor:
     def from_terms(terms) -> "TailDescriptor":
         """Exact tail sum c cos(w l) |l|^{-p}; the envelope exponent is the
         smallest p and its coeff the sum of c over the w = 0 terms there."""
-        terms = tuple((float(c), float(w), int(p)) for c, w, p in terms)
-        if not terms or any(w < 0 or p < 2 for _, w, p in terms):
-            raise DomainError("tail terms need w >= 0 and an integer p >= 2")
+        terms = tuple(terms)
+        if not terms:
+            raise DomainError("from_terms needs at least one term")
         p_min = min(p for _, _, p in terms)
-        coeff = sum((c for c, w, p in terms if w == 0.0 and p == p_min), 0.0)
+        coeff = sum((float(c) for c, w, p in terms if w == 0 and p == p_min), 0.0)
         return TailDescriptor(float(p_min), coeff, terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0.0
 
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Finite positive Borel measure: density on a uniform symmetric grid, atoms.
+    """Finite positive Borel measure: density on a uniform grid, atoms, and
+    the density past the grid cutoff L.
 
-    ``density_fn``, when present, is the exact density used for tail
-    corrections of a tail without ``terms``; the grid samples stay the
-    canonical payload.  A tail with terms needs a symmetric grid, since its
-    closed form starts both tails at +-cutoff.
+    A declared ``tail`` gives that density as terms (none for
+    ``TailDescriptor.none()``).  ``density_fn``, the exact density, serves
+    only a measure built by hand with ``tail=None``: its tail is then
+    integrated by QUADPACK, while a tail-free measure without one has no
+    mass past the grid.  The grid samples stay the canonical payload.  Any
+    tail starts at -L and at L, so it needs a symmetric grid.
     """
 
     grid: np.ndarray
@@ -151,34 +156,19 @@ class SpectralMeasure:
         for _, w in self.atoms:
             if w <= 0:
                 raise ValueError("atom weights must be positive")
-        if self.tail is not None and self.tail.terms and \
-                (len(grid) < 2 or grid[0] != -grid[-1]):
-            raise DomainError("a tail with terms needs a symmetric grid, grid[0] = -grid[-1]")
+        has_tail = self.density_fn is not None if self.tail is None else bool(self.tail.terms)
+        if has_tail and (len(grid) < 2 or grid[0] != -grid[-1]):
+            raise DomainError("a tail past the grid needs a symmetric grid, grid[0] = -grid[-1]")
 
     @property
     def cutoff(self) -> float:
         return float(np.max(np.abs(self.grid))) if len(self.grid) else 0.0
 
     def tail_mass(self) -> float:
-        if self.tail is not None and self.tail.terms:
-            return _closed_form_tail(self.tail.terms, self.cutoff, 0.0)
-        if self.tail is not None and self.tail.is_zero:
-            return 0.0
-        if self.tail is None and self.density_fn is None:
-            return 0.0
-        L = self.cutoff
-        if self.density_fn is not None:
-            left = _quiet_quad(self.density_fn, -np.inf, -L)
-            right = _quiet_quad(self.density_fn, L, np.inf)
-            return left + right
-        p, c = self.tail.exponent, self.tail.coeff
-        if p <= 1.0:
-            return math.inf
-        return 2.0 * c * L ** (1.0 - p) / (p - 1.0)
+        return _tail_fourier(self, 0.0).real
 
     def total_mass(self) -> float:
-        grid_part = simpson(self.density, self.grid) if len(self.grid) > 1 else 0.0
-        return float(grid_part) + sum(w for _, w in self.atoms) + self.tail_mass()
+        return bochner_transform(self, 0.0).real
 
     def to_json(self) -> str:
         payload = {
@@ -186,19 +176,25 @@ class SpectralMeasure:
             "density": self.density.tolist(),
             "atoms": [[loc, w] for loc, w in self.atoms],
             "tail": None if self.tail is None else
-                    {"exponent": self.tail.exponent, "coeff": self.tail.coeff},
+                    {"exponent": self.tail.exponent, "coeff": self.tail.coeff,
+                     "terms": [list(t) for t in self.tail.terms]},
         }
         return json.dumps(payload)
 
     @staticmethod
     def from_json(text: str) -> "SpectralMeasure":
+        """Inverse of ``to_json``; a tail written without ``terms`` (the
+        envelope alone) reads as its single term."""
         d = json.loads(text)
         tail = d.get("tail")
+        if tail is not None:
+            tail = TailDescriptor.from_terms(tail["terms"]) if tail.get("terms") else \
+                TailDescriptor(tail["exponent"], tail["coeff"])
         return SpectralMeasure(
             grid=np.asarray(d["grid"], dtype=float),
             density=np.asarray(d["density"], dtype=float),
             atoms=tuple((float(a), float(w)) for a, w in d.get("atoms", [])),
-            tail=None if tail is None else TailDescriptor(tail["exponent"], tail["coeff"]),
+            tail=tail,
         )
 
 
@@ -260,24 +256,16 @@ def _closed_form_tail(terms, L: float, x: float) -> float:
 
 
 def _tail_fourier(measure: SpectralMeasure, x: float) -> complex:
-    """int_{|l| > L} e^{i l x} density(l) dl: in closed form from the tail's
-    terms when it has them, else by QAWF on the exact density when
-    available, else on the power-law envelope."""
+    """int_{|l| > L} e^{i l x} density(l) dl past the cutoff L: the closed
+    form of a declared tail's terms (0 for ``TailDescriptor.none()``), QAWF
+    on ``density_fn`` for an undeclared tail (``tail=None``), else 0."""
     L = measure.cutoff
-    tail = measure.tail
-    if tail is not None and tail.terms:
-        return _closed_form_tail(tail.terms, L, x)
-    if measure.density_fn is None and tail is None:
+    if measure.tail is not None:
+        return _closed_form_tail(measure.tail.terms, L, x) if measure.tail.terms else 0.0
+    f = measure.density_fn
+    if f is None:
         return 0.0
-    if tail is not None and tail.is_zero and measure.density_fn is None:
-        return 0.0
-    if measure.density_fn is not None:
-        f = measure.density_fn
-        fm = lambda l: f(-l)
-    else:
-        p, c = tail.exponent, tail.coeff
-        f = lambda l: c * l ** (-p)
-        fm = f
+    fm = lambda l: f(-l)
     if abs(x) < 1e-12:
         return _quiet_quad(f, L, np.inf) + _quiet_quad(fm, L, np.inf)
     re = (_quiet_quad(f, L, np.inf, weight="cos", wvar=x)
@@ -290,8 +278,9 @@ def _tail_fourier(measure: SpectralMeasure, x: float) -> complex:
 def bochner_transform(measure: SpectralMeasure, x: float) -> complex:
     """mu_hat(x) = int e^{i l x} dmu(l); atoms summed exactly, grid density
     by Simpson, the density past the cutoff by ``_tail_fourier``: in closed
-    form for every built-in measure, by QAWF for a tail known only as a
-    ``density_fn`` or an envelope (hand-built or read from JSON)."""
+    form for every declared tail (each built-in measure, and any measure
+    read from JSON), by QAWF only for a hand-built ``tail=None`` measure
+    with a ``density_fn``.  ``total_mass`` is mu_hat(0)."""
     x = float(x)
     total = 0.0 + 0.0j
     if len(measure.grid) > 1:
@@ -361,8 +350,7 @@ def second_moment(measure: SpectralMeasure, cutoff: float) -> SecondMomentResult
         if abs(loc) <= cutoff:
             value += w * loc * loc
     L = measure.cutoff
-    if cutoff > L and measure.tail is not None and not measure.tail.is_zero \
-            and np.isfinite(measure.tail.exponent):
+    if cutoff > L and measure.tail is not None and measure.tail.terms:
         p, c = measure.tail.exponent, measure.tail.coeff
         if abs(p - 3.0) < 1e-12:
             value += 2.0 * c * math.log(cutoff / L)
@@ -817,7 +805,8 @@ def descriptor_for_kernel(kernel: PdKernel) -> EllipticDescriptor:
 
 def evaluate_kernel(kernel: PdKernel, x: float):
     """F(x) with the continuous boundary limit at x = +-a; |x| > a raises."""
-    return complex(kernel(x)) if np.iscomplexobj(kernel(x)) else float(kernel(x))
+    v = kernel(x)
+    return complex(v) if np.iscomplexobj(v) else float(v)
 
 
 def gram_matrix(kernel: PdKernel, points: Sequence[float]) -> np.ndarray:
@@ -875,23 +864,20 @@ def concentration(mu: MeasureOnInterval) -> tuple[float, float]:
     if abs(mass.imag) > 1e-10 or abs(mass.real - 1.0) > 1e-8 or mu.is_complex:
         raise DomainError("concentration requires a probability measure")
     lo, hi = mu.interval
-    atoms = [(loc, w.real) for loc, w in mu.atoms]
     if np.any(mu.density.real < -1e-12):
         raise DomainError("concentration requires a nonnegative density")
-    q = 0.0
+    locs = np.array([loc for loc, _ in mu.atoms])
+    weights = np.array([w.real for _, w in mu.atoms])
     # atom x atom
-    for xa, wa in atoms:
-        for xb, wb in atoms:
-            q += wa * wb * math.exp(-abs(xa - xb))
+    q = float(np.sum(np.outer(weights, weights) * np.exp(-np.abs(locs[:, None] - locs))))
     has_density = len(mu.grid) > 1 and np.max(np.abs(mu.density)) > 0
     if has_density:
         grid, rho = mu.grid, mu.density.real
         rho_fn = lambda t: np.interp(t, grid, rho)
         # atom x density (both orders)
-        for xa, wa in atoms:
-            v = integrate(lambda y: np.exp(-np.abs(xa - y)) * rho_fn(y),
-                          lo, hi, n_panels=400, m=GL_POINTS, split_points=(xa,))
-            q += 2.0 * wa * v.real if isinstance(v, complex) else 2.0 * wa * v
+        for xa, wa in zip(locs, weights):
+            q += 2.0 * wa * integrate(lambda y: np.exp(-np.abs(xa - y)) * rho_fn(y),
+                                      lo, hi, n_panels=400, m=GL_POINTS, split_points=(xa,))
         # density x density with the kink split at the inner variable
         inner, _ = exp_kernel_apply(grid, rho_fn, m=GL_POINTS)
         q += float(simpson(inner * rho, grid))
