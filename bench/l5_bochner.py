@@ -4,19 +4,21 @@ closed-form Fourier tail against QAWF on the same tail.
 
 Run from the repository root:
 
-    PYTHONPATH=src python bench/l5_bochner.py                 # 9 points of [0, a]
+    PYTHONPATH=src python bench/l5_bochner.py                 # 9 points per measure
     PYTHONPATH=src python bench/l5_bochner.py --points 2 --out /tmp/l5.json
 
 Measures: exp (Cauchy), triangle, ``bsplinex:2`` at a = 1/2, ``bsplinex:4``
-at a = 1/2 and 1 and ``bsplinex:6`` at a = 1/2.  Each carries its tail past
-the cutoff L as terms c cos(w l) |l|^{-p}, which ``bochner_transform`` sums
-in closed form.  The QAWF side is the same measure with its tail undeclared
-(``tail=None``) and a ``density_fn`` that sums the same terms, so QUADPACK
-integrates exactly the tail the closed form does; the script stops with an
-error if a QAWF case does not reach QUADPACK.  For each measure and x
-it records the median wall time of one ``bochner_transform`` call on each
-side and |mu_hat(x) - F(x)|, the oracle being the kernel on [-a, a]; the
-summary gives per measure the median and slowest time and the largest error.
+at a = 1/2 and 1 and ``bsplinex:6`` at a = 1/2, with x on [0, a] and the
+kernel as oracle; and ghat_r of the type-2 extensions G_r for r = 0, 1/2, 1,
+with x on [0, 3] and G_r itself as oracle.  Each carries its tail past the
+cutoff L as terms c cos(w l) |l|^{-p} and (G_r) s sin(w |l|) |l|^{-p},
+which ``bochner_transform`` sums in closed form.  The QAWF side is the same
+measure with its tail undeclared (``tail=None``) and a ``density_fn`` that
+sums the same terms, so QUADPACK integrates exactly the tail the closed
+form does; the script stops with an error if a QAWF case does not reach
+QUADPACK.  For each measure and x it records the median wall time of one
+``bochner_transform`` call on each side and |mu_hat(x) - F(x)|; the summary
+gives per measure the median and slowest time and the largest error.
 """
 
 from __future__ import annotations
@@ -33,28 +35,45 @@ from pathlib import Path
 import numpy as np
 
 from l2_apply import commit, timed
-from pdext import bochner_transform, bspline_x_kernel, exp_kernel, kernels, triangle_kernel
+from pdext import (bochner_transform, bspline_x_kernel, exp_kernel, g_r_extension, kernels,
+                   triangle_kernel)
 
 ROOT = Path(__file__).resolve().parent.parent
 
+
+def on_interval(kernel):
+    """(oracle, measure, x_max) of a kernel: F on [0, a]."""
+    return kernel, kernel.measure, kernel.half_width
+
+
+def g_r(r: float):
+    """(oracle, measure, x_max) of G_r: G_r on [0, 3], past the gluing at 1."""
+    g = g_r_extension(r)
+    return g, g.measure, 3.0
+
+
 MEASURES = {
-    "exp": exp_kernel,
-    "triangle": triangle_kernel,
-    "bsplinex:2@0.5": lambda: bspline_x_kernel(2, 0.5),
-    "bsplinex:4@0.5": lambda: bspline_x_kernel(4, 0.5),
-    "bsplinex:4@1": lambda: bspline_x_kernel(4, 1.0),
-    "bsplinex:6@0.5": lambda: bspline_x_kernel(6, 0.5),
+    "exp": lambda: on_interval(exp_kernel()),
+    "triangle": lambda: on_interval(triangle_kernel()),
+    "bsplinex:2@0.5": lambda: on_interval(bspline_x_kernel(2, 0.5)),
+    "bsplinex:4@0.5": lambda: on_interval(bspline_x_kernel(4, 0.5)),
+    "bsplinex:4@1": lambda: on_interval(bspline_x_kernel(4, 1.0)),
+    "bsplinex:6@0.5": lambda: on_interval(bspline_x_kernel(6, 0.5)),
+    "G_r@0": lambda: g_r(0.0),
+    "G_r@0.5": lambda: g_r(0.5),
+    "G_r@1": lambda: g_r(1.0),
 }
 
 
 def without_terms(measure):
     """The measure with an undeclared tail and a density_fn summing the
-    terms: the QAWF path of ``bochner_transform``."""
-    terms = measure.tail.terms
+    cosine and sine terms: the QAWF path of ``bochner_transform``."""
+    tail = measure.tail
 
     def density(l):
-        l = np.asarray(l, dtype=float)
-        return sum(c * np.cos(w * l) * np.abs(l) ** -float(p) for c, w, p in terms)
+        l = np.abs(np.asarray(l, dtype=float))
+        return (sum(c * np.cos(w * l) * l ** -float(p) for c, w, p in tail.terms)
+                + sum(s * np.sin(w * l) * l ** -float(p) for s, w, p in tail.sine_terms))
 
     return dataclasses.replace(measure, tail=None, density_fn=density)
 
@@ -69,11 +88,11 @@ def counting_quad(fn):
         kernels._quiet_quad = real
 
 
-def case(name: str, kernel, measure, x: float, repeats: int) -> dict:
-    F = float(kernel(x))
-    closed_s, closed_runs, closed = timed(lambda: bochner_transform(kernel.measure, x), repeats)
+def case(name: str, oracle, measure, qawf_measure, x: float, repeats: int) -> dict:
+    F = float(oracle(x))
+    closed_s, closed_runs, closed = timed(lambda: bochner_transform(measure, x), repeats)
     (qawf_s, qawf_runs, qawf), calls = counting_quad(
-        lambda: timed(lambda: bochner_transform(measure, x), repeats))
+        lambda: timed(lambda: bochner_transform(qawf_measure, x), repeats))
     if not calls:
         raise RuntimeError(f"the QAWF side of {name} at x = {x} did not reach QUADPACK")
     return {
@@ -86,21 +105,21 @@ def case(name: str, kernel, measure, x: float, repeats: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--points", type=int, default=9, help="x points on [0, a] per measure")
+    ap.add_argument("--points", type=int, default=9, help="x points per measure")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--out", default=str(ROOT / "BENCH_L5_bochner.json"))
     args = ap.parse_args(argv)
     bochner_transform(exp_kernel().measure, 0.5)      # scipy.special import outside the timings
     cases, summary = [], []
     for name, make in MEASURES.items():
-        kernel = make()
-        qawf_measure = without_terms(kernel.measure)
-        rows = [case(name, kernel, qawf_measure, float(x), args.repeats)
-                for x in np.linspace(0.0, kernel.half_width, args.points)]
+        oracle, measure, x_max = make()
+        qawf_measure = without_terms(measure)
+        rows = [case(name, oracle, measure, qawf_measure, float(x), args.repeats)
+                for x in np.linspace(0.0, x_max, args.points)]
         cases += rows
         summary.append({
-            "measure": name, "cutoff": kernel.measure.cutoff,
-            "terms": len(kernel.measure.tail.terms),
+            "measure": name, "cutoff": measure.cutoff,
+            "terms": len(measure.tail.terms) + len(measure.tail.sine_terms),
             "closed_median_s": statistics.median(r["closed_s"] for r in rows),
             "qawf_median_s": statistics.median(r["qawf_s"] for r in rows),
             "closed_max_s": max(r["closed_s"] for r in rows),
@@ -113,8 +132,9 @@ def main(argv=None) -> int:
               f"   QAWF {s['qawf_median_s'] * 1e3:8.2f} ms  err {s['qawf_max_err']:.1e}",
               file=sys.stderr)
     payload = {
-        "layer": "L5", "what": "bochner_transform of the built-in measures: closed-form tail "
-                               "vs QAWF on the same tail, error against F on [0, a]",
+        "layer": "L5", "what": "bochner_transform of the built-in measures and of ghat_r: "
+                               "closed-form tail vs QAWF on the same tail, error against "
+                               "F on [0, a] and against G_r on [0, 3]",
         "command": "PYTHONPATH=src python bench/l5_bochner.py " + " ".join(argv or sys.argv[1:]),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),

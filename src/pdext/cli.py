@@ -110,7 +110,7 @@ def cmd_extend(args) -> int:
                for x, v in zip(xs, vals)]
         rows = list(zip(xs, vals, err))
         mass = g.mass()
-        if abs(mass - 1.0) > 1e-4:
+        if abs(mass - 1.0) > 1e-9:
             raise RuntimeError(f"ghat_r mass {mass!r} deviates from 1")
         _emit(rows, ["x", "G_r", "restriction_error"], args,
               {"r": args.r, "mass": mass})

@@ -15,11 +15,15 @@ complex equation with the 2 pi n multiple removed exactly.
 Type-1 extensions: F_theta = sum 2/(lam^2+3) e^{i lam x} is the ThetaExpansion
 of F_0 = e^{-x} over the orthogonal basis {e_lam : lam in Lambda_theta} of
 H_F, in which U(t) = e^{i t A_theta} acts diagonally.
-Type-2 family: G_r with exponential tails of rate r glued at |x| = 1.
+Type-2 family: G_r with exponential tails of rate r glued at |x| = 1; its
+spectral measure is an ordinary SpectralMeasure (grid density, atom at r = 0,
+cosine and sine tail terms), read by the same bochner_transform as every
+other measure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -28,7 +32,7 @@ import numpy as np
 
 from .elliptic import bracketed_roots
 from .kernels import (EPS_PSD, DomainError, PdKernel, SpectralMeasure,
-                      bochner_transform)
+                      TailDescriptor, bochner_transform)
 from .quadrature import GL_POINTS, UNIT_PANELS, panel_nodes
 from .rkhs import (Sampled, e_lambda_weights, exp_basis_coefficients, exp_sum,
                    sampled_from_callable)
@@ -256,35 +260,6 @@ def defect_vectors(kernel: PdKernel, depth: int = 14) -> DefectPair:
 _E = math.e
 
 
-def _gr_hat(lam, r: float):
-    """Fourier transform of G_r (validated against the closed form
-    2 e^{-1}(1 - e^{-1} cos + ...) decomposition):
-
-    G_r_hat(l) = [2e(l^2+r^2) + 2(r-1)(cos l (l^2 - r) + l (r+1) sin l)]
-                 / [e (l^2+1)(l^2+r^2)].
-    """
-    lam = np.asarray(lam, dtype=float)
-    num = 2.0 * _E * (lam ** 2 + r * r) + 2.0 * (r - 1.0) * (
-        np.cos(lam) * (lam ** 2 - r) + lam * (r + 1.0) * np.sin(lam))
-    return num / (_E * (lam ** 2 + 1.0) * (lam ** 2 + r * r))
-
-
-# QAWF decomposition of ghat_r: rational coefficient functions attached to
-# cos(l), sin(l) and 1, all integrable against Fourier weights
-def _gr_terms(r: float):
-    smooth = lambda l: 2.0 / (1.0 + l * l)
-    terms = [("cos", lambda l: -1.0 / (1.0 + l * l)),
-             ("sin", lambda l: l / (1.0 + l * l))]
-    if r > 0:
-        terms.append(("cos", lambda l: r / (r * r + l * l)))
-        terms.append(("sin", lambda l: -l / (r * r + l * l)))
-    else:
-        # r = 0: r cos l/(r^2+l^2) -> pi delta_0 (an atom of mass e^{-1} after
-        # the 1/(2 pi) normalization); the sin term loses its r^2 regularizer
-        terms.append(("sin", lambda l: -1.0 / l))
-    return smooth, terms
-
-
 @dataclass(frozen=True)
 class TypeTwoExtension:
     """G_r extension: e^{-|x|} inside (-1, 1), exponential tails e^{-1}
@@ -304,55 +279,46 @@ class TypeTwoExtension:
         return np.where(np.abs(x) < 1.0, inner, outer)
 
     def density(self, lam) -> np.ndarray:
-        """ghat_r(l); for r = 0 this is only the continuous part."""
-        lam = np.asarray(lam, dtype=float)
-        if self.r > 0:
-            return _gr_hat(lam, self.r) / (2.0 * np.pi)
-        sinc_part = np.sinc(lam / np.pi)
-        val = (2.0 / (1.0 + lam ** 2)
-               + (2.0 / _E) * (-np.cos(lam) / (1.0 + lam ** 2)
-                               + lam * np.sin(lam) / (1.0 + lam ** 2)
-                               - sinc_part))
+        """ghat_r(l) = G_r_hat(l) / 2 pi, where G_r_hat(l) = 2/(1+l^2)
+        + (2/e)[(r/(r^2+l^2) - 1/(1+l^2)) cos l + l (1/(1+l^2) - 1/(r^2+l^2)) sin l]
+        = [2e(l^2+r^2) + 2(r-1)(cos l (l^2 - r) + l (r+1) sin l)] / [e (l^2+1)(l^2+r^2)];
+        for r = 0 only the continuous part, l sin l / l^2 being sinc."""
+        lam, r = np.asarray(lam, dtype=float), self.r
+        if r > 0:
+            num = 2.0 * _E * (lam ** 2 + r * r) + 2.0 * (r - 1.0) * (
+                np.cos(lam) * (lam ** 2 - r) + lam * (r + 1.0) * np.sin(lam))
+            return num / (_E * (lam ** 2 + 1.0) * (lam ** 2 + r * r)) / (2.0 * np.pi)
+        val = 2.0 / (1.0 + lam ** 2) + (2.0 / _E) * (-np.cos(lam) / (1.0 + lam ** 2)
+                                                      + lam * np.sin(lam) / (1.0 + lam ** 2)
+                                                      - np.sinc(lam / np.pi))
         return val / (2.0 * np.pi)
 
-    @property
-    def atoms(self) -> tuple[tuple[float, float], ...]:
-        return ((0.0, math.exp(-1.0)),) if self.r == 0.0 else ()
+    @functools.cached_property
+    def measure(self) -> SpectralMeasure:
+        """ghat_r dl (+ e^{-1} delta_0 at r = 0): the density on a grid over
+        [-200, 200], and past it six orders of each series in
+        1/(1+l^2) = sum (-1)^i l^{-2-2i}, r/(r^2+l^2) = sum (-1)^i r^{2i+1} l^{-2-2i}
+        and l/(1+l^2) - l/(r^2+l^2) = sum_{i>=1} (-1)^i (1 - r^{2i}) l^{-1-2i}
+        (at r = 0 the r/(r^2+l^2) term is the atom)."""
+        r, k = self.r, 1.0 / np.pi
+        cos = [(k * (-1) ** i, 0.0, 2 + 2 * i) for i in range(6)]
+        cos += [(k / _E * (-1) ** i * (r ** (2 * i + 1) - 1.0), 1.0, 2 + 2 * i) for i in range(6)]
+        sin = [(k / _E * (-1) ** i * (1.0 - r ** (2 * i)), 1.0, 1 + 2 * i) for i in range(1, 7)]
+        grid = np.linspace(-200.0, 200.0, 40001)
+        atoms = ((0.0, math.exp(-1.0)),) if r == 0.0 else ()
+        return SpectralMeasure(grid, self.density(grid), atoms=atoms,
+                               tail=TailDescriptor.from_terms(cos, sin))
 
     def mass(self) -> float:
-        """int ghat_r dl (+ atom): the reconstruction at x = 0."""
-        return self.reconstruct(0.0)
+        """int ghat_r dl (+ atom)."""
+        return self.measure.total_mass()
 
     def reconstruct(self, x: float) -> float:
-        """int e^{i l x} ghat_r(l) dl (+ atom contribution), via product-to-sum
-        splitting so every oscillatory piece is a QUADPACK Fourier integral."""
-        from scipy.integrate import quad
-        ax = abs(float(x))
-        smooth, terms = _gr_terms(self.r)
-        # QAWF needs a genuinely nonzero frequency
-        fourier = {"weight": "cos", "wvar": ax} if ax >= 1e-9 else {}
-        total = 2.0 * quad(smooth, 0.0, np.inf, limit=400, **fourier)[0]
-        for kind, f in terms:
-            lo = 1e-12 if (self.r == 0.0 and kind == "sin") else 0.0
-            for wv in (1.0 + ax, 1.0 - ax):
-                if kind == "cos":
-                    # cos(l) cos(ax l) = (cos((1-ax) l) + cos((1+ax) l)) / 2
-                    if abs(wv) < 1e-9:
-                        total += (2.0 / _E) * quad(f, lo, np.inf, limit=400)[0]
-                    else:
-                        total += (2.0 / _E) * quad(f, lo, np.inf, weight="cos",
-                                                   wvar=wv, limit=400)[0]
-                else:
-                    # sin(l) cos(ax l) = (sin((1+ax) l) + sin((1-ax) l)) / 2
-                    if abs(wv) < 1e-9:
-                        continue
-                    total += (2.0 / _E) * quad(f, lo, np.inf, weight="sin",
-                                               wvar=wv, limit=400)[0]
-        total /= 2.0 * np.pi
-        return total + sum(w for _, w in self.atoms)  # atoms sit at l = 0
+        """int e^{i l x} ghat_r(l) dl (+ atom): G_r(x) by Bochner."""
+        return bochner_transform(self.measure, x).real
 
     def density_min_on_grid(self) -> float:
-        return float(np.min(self.density(np.linspace(-200.0, 200.0, 40001))))
+        return float(np.min(self.measure.density))
 
 
 def g_r_extension(r: float) -> TypeTwoExtension:

@@ -88,41 +88,56 @@ def bspline_autoconvolution(k: int, u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TailDescriptor:
-    """The density past the grid cutoff as ``terms``: density(l) =
-    sum c cos(w l) |l|^{-p} over the triples (c, w, p), w >= 0, integer
-    p >= 2.  ``exponent`` and ``coeff`` are its power-law envelope
-    coeff |l|^{-exponent} (averaged over oscillations), which
-    ``second_moment`` reads; given without terms, the envelope is the one
-    term (coeff, 0, exponent).  ``TailDescriptor.none()`` declares compact
-    support; a measure with ``tail=None`` has an *unknown* tail that
-    second_moment must fit from the samples."""
+    """The density past the grid cutoff as ``terms``, triples (c, w, p) for
+    c cos(w l) |l|^{-p} with w >= 0, and ``sine_terms``, triples (s, w, p)
+    for s sin(w |l|) |l|^{-p} with w > 0; every p an integer >= 2.
+    ``exponent`` and ``coeff`` are its envelope coeff |l|^{-exponent}
+    (averaged over oscillations), which ``second_moment`` reads: derived from
+    the terms by ``_envelope``, refused when given otherwise, and the one
+    term (coeff, 0, exponent) when given alone.  ``TailDescriptor.none()``
+    declares compact support; a measure with ``tail=None`` has an *unknown*
+    tail that second_moment must fit from the samples."""
 
     exponent: float
     coeff: float
     terms: tuple[tuple[float, float, int], ...] = ()
+    sine_terms: tuple[tuple[float, float, int], ...] = ()
 
     def __post_init__(self):
-        terms = self.terms
-        if not terms and self.coeff != 0.0:
+        terms, sines = tuple(self.terms), tuple(self.sine_terms)
+        if not terms and not sines and self.coeff != 0.0:
             terms = ((self.coeff, 0.0, self.exponent),)
-        if any(w < 0 or not float(p).is_integer() or p < 2 for _, w, p in terms):
-            raise DomainError("tail terms need w >= 0 and an integer p >= 2")
-        object.__setattr__(self, "terms", tuple((float(c), float(w), int(p)) for c, w, p in terms))
+        if any(w < 0 or not float(p).is_integer() or p < 2 for _, w, p in terms + sines) \
+                or any(w == 0 for _, w, _ in sines):
+            raise DomainError("tail terms need an integer p >= 2 and w >= 0 (w > 0 for sines)")
+        normal = lambda t: tuple((float(c), float(w), int(p)) for c, w, p in t)
+        terms, sines = normal(terms), normal(sines)
+        envelope = _envelope(terms, sines) if terms or sines else (self.exponent, self.coeff)
+        if envelope != (self.exponent, self.coeff):
+            raise DomainError(f"tail envelope {(self.exponent, self.coeff)} is not {envelope}, "
+                              "the one its terms give")
+        for name, value in zip(("exponent", "coeff", "terms", "sine_terms"),
+                               (*envelope, terms, sines)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def none() -> "TailDescriptor":
         return TailDescriptor(math.inf, 0.0)
 
     @staticmethod
-    def from_terms(terms) -> "TailDescriptor":
-        """Exact tail sum c cos(w l) |l|^{-p}; the envelope exponent is the
-        smallest p and its coeff the sum of c over the w = 0 terms there."""
-        terms = tuple(terms)
-        if not terms:
+    def from_terms(terms, sine_terms=()) -> "TailDescriptor":
+        """The exact tail given by its terms, with the envelope they imply."""
+        terms, sine_terms = tuple(terms), tuple(sine_terms)
+        if not terms and not sine_terms:
             raise DomainError("from_terms needs at least one term")
-        p_min = min(p for _, _, p in terms)
-        coeff = sum((float(c) for c, w, p in terms if w == 0 and p == p_min), 0.0)
-        return TailDescriptor(float(p_min), coeff, terms)
+        return TailDescriptor(*_envelope(terms, sine_terms), terms, sine_terms)
+
+
+def _envelope(terms, sine_terms) -> tuple[float, float]:
+    """(exponent, coeff) of a tail: the smallest p over both kinds of term,
+    and the sum of c over the w = 0 cosine terms with that p."""
+    p_min = min(p for _, _, p in terms + sine_terms)
+    return float(p_min), sum((float(c) for c, w, p in terms if w == 0 and p == p_min), 0.0)
 
 
 @dataclass(frozen=True)
@@ -156,7 +171,8 @@ class SpectralMeasure:
         for _, w in self.atoms:
             if w <= 0:
                 raise ValueError("atom weights must be positive")
-        has_tail = self.density_fn is not None if self.tail is None else bool(self.tail.terms)
+        has_tail = self.density_fn is not None if self.tail is None else \
+            bool(self.tail.terms or self.tail.sine_terms)
         if has_tail and (len(grid) < 2 or grid[0] != -grid[-1]):
             raise DomainError("a tail past the grid needs a symmetric grid, grid[0] = -grid[-1]")
 
@@ -177,19 +193,20 @@ class SpectralMeasure:
             "atoms": [[loc, w] for loc, w in self.atoms],
             "tail": None if self.tail is None else
                     {"exponent": self.tail.exponent, "coeff": self.tail.coeff,
-                     "terms": [list(t) for t in self.tail.terms]},
+                     "terms": [list(t) for t in self.tail.terms],
+                     "sine_terms": [list(t) for t in self.tail.sine_terms]},
         }
         return json.dumps(payload)
 
     @staticmethod
     def from_json(text: str) -> "SpectralMeasure":
-        """Inverse of ``to_json``; a tail written without ``terms`` (the
-        envelope alone) reads as its single term."""
+        """Inverse of ``to_json``; a tail written without terms of either
+        kind (the envelope alone) reads as its single term."""
         d = json.loads(text)
         tail = d.get("tail")
         if tail is not None:
-            tail = TailDescriptor.from_terms(tail["terms"]) if tail.get("terms") else \
-                TailDescriptor(tail["exponent"], tail["coeff"])
+            tail = TailDescriptor(tail["exponent"], tail["coeff"], tail.get("terms", ()),
+                                  tail.get("sine_terms", ()))
         return SpectralMeasure(
             grid=np.asarray(d["grid"], dtype=float),
             density=np.asarray(d["density"], dtype=float),
@@ -216,19 +233,20 @@ def _expint_cf(n: int, z: np.ndarray) -> np.ndarray:
     return h * np.exp(-z)
 
 
-def _cos_power_integrals(b: np.ndarray, L: float, n_max: int) -> np.ndarray:
-    """Rows n = 0..n_max of J_n(b) = int_L^inf cos(b l) l^{-n} dl for b >= 0,
-    as L^{1-n} Re E_n(-ibL); rows 0 and 1 hold for b > 0 only.
+def _power_integrals(b: np.ndarray, L: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows n = 0..n_max of J_n(b) = int_L^inf cos(b l) l^{-n} dl and
+    K_n(b) = int_L^inf sin(b l) l^{-n} dl for b >= 0, as L^{1-n} Re and Im
+    of E_n(-ibL); rows 0 and 1 hold for b > 0 only.
 
     Upward, from E_1(-iy) = -Ci(y) + i(pi/2 - Si(y)) by
     E_n = (e^{iy} + iy E_{n-1}) / (n-1), which for J is
-    J_n = [cos(bL) L^{1-n} - b K_{n-1}] / (n-1) with K_n the sine integral.
+    J_n = [cos(bL) L^{1-n} - b K_{n-1}] / (n-1).
     That multiplies the absolute error of E_1 by about y^{n-1}/(n-1)!, so J_n
-    carries eps b^{n-1}/(n-1)!: harmless for b <= 1 or y <= n_max.  Past
+    and K_n carry eps b^{n-1}/(n-1)!: harmless for b <= 1 or y <= n_max.  Past
     both, E_{n_max} comes from its continued fraction and the recursion runs
     downward, E_{n-1} = (e^{iy} - (n-1) E_n) / (-iy), where y > n_max damps
     errors.  At b = 0, E_1 diverges but enters only times y = 0, which
-    gives J_n = L^{1-n} / (n-1)."""
+    gives J_n = L^{1-n} / (n-1) and K_n = 0."""
     from scipy.special import sici
     y = b * L
     E = np.zeros((n_max + 1, len(b)), dtype=complex)
@@ -242,17 +260,30 @@ def _cos_power_integrals(b: np.ndarray, L: float, n_max: int) -> np.ndarray:
     E[n_max, ~up] = _expint_cf(n_max, -1j * yd)
     for n in range(n_max, 1, -1):
         E[n - 1, ~up] = (np.exp(1j * yd) - (n - 1) * E[n, ~up]) / (-1j * yd)
-    return L ** (1.0 - np.arange(n_max + 1))[:, None] * E.real
+    scale = L ** (1.0 - np.arange(n_max + 1))[:, None]
+    return scale * E.real, scale * E.imag
 
 
-def _closed_form_tail(terms, L: float, x: float) -> float:
-    """int_{|l| > L} e^{i l x} sum c cos(w l) |l|^{-p} dl
-    = sum c [J_p(|x - w|) + J_p(|x + w|)], real since the tail is even;
-    one ``sici`` call over the distinct b."""
-    c, w, p = (np.array(v) for v in zip(*terms))
-    b, inverse = np.unique(np.abs(np.concatenate([x - w, x + w])), return_inverse=True)
-    J = _cos_power_integrals(b, L, int(p.max()))
-    return float(np.dot(np.concatenate([c, c]), J[np.concatenate([p, p]), inverse]))
+def _cos_power_integrals(b: np.ndarray, L: float, n_max: int) -> np.ndarray:
+    """The rows J_n of ``_power_integrals``."""
+    return _power_integrals(b, L, n_max)[0]
+
+
+def _closed_form_tail(tail: TailDescriptor, L: float, x: float) -> float:
+    """int_{|l| > L} e^{i l x} density(l) dl for a tail's terms, real since
+    the tail is even: c cos(w l) |l|^{-p} gives c [J_p(|x - w|) + J_p(|x + w|)],
+    s sin(w |l|) |l|^{-p} gives s [K_p(w + x) + K_p(w - x)], K_p being odd;
+    one ``sici`` call over the distinct |b|."""
+    c, w, p = (np.array(v) for v in zip(*(tail.terms + tail.sine_terms)))
+    n = len(tail.terms)
+    signed = np.concatenate([x - w[:n], x + w[:n], w[n:] + x, w[n:] - x])
+    b, inverse = np.unique(np.abs(signed), return_inverse=True)
+    J, K = _power_integrals(b, L, int(p.max()))
+    twice = lambda v: np.concatenate([v, v])
+    total = np.dot(twice(c[:n]), J[twice(p[:n]), inverse[:2 * n]])
+    if tail.sine_terms:
+        total += np.dot(twice(c[n:]) * np.sign(signed[2 * n:]), K[twice(p[n:]), inverse[2 * n:]])
+    return float(total)
 
 
 def _tail_fourier(measure: SpectralMeasure, x: float) -> complex:
@@ -261,7 +292,8 @@ def _tail_fourier(measure: SpectralMeasure, x: float) -> complex:
     on ``density_fn`` for an undeclared tail (``tail=None``), else 0."""
     L = measure.cutoff
     if measure.tail is not None:
-        return _closed_form_tail(measure.tail.terms, L, x) if measure.tail.terms else 0.0
+        tail = measure.tail
+        return _closed_form_tail(tail, L, x) if tail.terms or tail.sine_terms else 0.0
     f = measure.density_fn
     if f is None:
         return 0.0
@@ -350,7 +382,8 @@ def second_moment(measure: SpectralMeasure, cutoff: float) -> SecondMomentResult
         if abs(loc) <= cutoff:
             value += w * loc * loc
     L = measure.cutoff
-    if cutoff > L and measure.tail is not None and measure.tail.terms:
+    tail = measure.tail
+    if cutoff > L and tail is not None and (tail.terms or tail.sine_terms):
         p, c = measure.tail.exponent, measure.tail.coeff
         if abs(p - 3.0) < 1e-12:
             value += 2.0 * c * math.log(cutoff / L)
