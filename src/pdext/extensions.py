@@ -257,9 +257,6 @@ def defect_vectors(kernel: PdKernel, depth: int = 14) -> DefectPair:
 # type 2 extensions: the G_r family
 # ---------------------------------------------------------------------------
 
-_E = math.e
-
-
 @dataclass(frozen=True)
 class TypeTwoExtension:
     """G_r extension: e^{-|x|} inside (-1, 1), exponential tails e^{-1}
@@ -279,32 +276,36 @@ class TypeTwoExtension:
         return np.where(np.abs(x) < 1.0, inner, outer)
 
     def density(self, lam) -> np.ndarray:
-        """ghat_r(l) = G_r_hat(l) / 2 pi, where G_r_hat(l) = 2/(1+l^2)
-        + (2/e)[(r/(r^2+l^2) - 1/(1+l^2)) cos l + l (1/(1+l^2) - 1/(r^2+l^2)) sin l]
-        = [2e(l^2+r^2) + 2(r-1)(cos l (l^2 - r) + l (r+1) sin l)] / [e (l^2+1)(l^2+r^2)];
-        for r = 0 only the continuous part, l sin l / l^2 being sinc."""
+        """ghat_r(l) = G_r_hat(l) / 2 pi, G_r_hat(l) = 2/(1+l^2) + (2/e)[(r/(r^2+l^2)
+        - 1/(1+l^2)) cos l + l (1/(1+l^2) - 1/(r^2+l^2)) sin l], summed over one
+        denominator for r > 0; for r = 0 only the continuous part (l sin l / l^2 = sinc)."""
         lam, r = np.asarray(lam, dtype=float), self.r
         if r > 0:
-            num = 2.0 * _E * (lam ** 2 + r * r) + 2.0 * (r - 1.0) * (
+            num = 2.0 * math.e * (lam ** 2 + r * r) + 2.0 * (r - 1.0) * (
                 np.cos(lam) * (lam ** 2 - r) + lam * (r + 1.0) * np.sin(lam))
-            return num / (_E * (lam ** 2 + 1.0) * (lam ** 2 + r * r)) / (2.0 * np.pi)
-        val = 2.0 / (1.0 + lam ** 2) + (2.0 / _E) * (-np.cos(lam) / (1.0 + lam ** 2)
-                                                      + lam * np.sin(lam) / (1.0 + lam ** 2)
-                                                      - np.sinc(lam / np.pi))
+            return num / (math.e * (lam ** 2 + 1.0) * (lam ** 2 + r * r)) / (2.0 * np.pi)
+        val = 2.0 / (1.0 + lam ** 2) + (2.0 / math.e) * (-np.cos(lam) / (1.0 + lam ** 2)
+                                                         + lam * np.sin(lam) / (1.0 + lam ** 2)
+                                                         - np.sinc(lam / np.pi))
         return val / (2.0 * np.pi)
 
     @functools.cached_property
     def measure(self) -> SpectralMeasure:
-        """ghat_r dl (+ e^{-1} delta_0 at r = 0): the density on a grid over
-        [-200, 200], and past it six orders of each series in
+        """ghat_r dl (+ e^{-1} delta_0 at r = 0): the density on a grid with
+        steps h <= r/10, which Simpson needs for the peak r/(r^2+l^2) at 0, h
+        a power of two so that Simpson's spacing grid[1] - grid[0] is exact;
+        >= 20,000 steps each side, to |l| >= 10.  Past it, six orders of each
         1/(1+l^2) = sum (-1)^i l^{-2-2i}, r/(r^2+l^2) = sum (-1)^i r^{2i+1} l^{-2-2i}
-        and l/(1+l^2) - l/(r^2+l^2) = sum_{i>=1} (-1)^i (1 - r^{2i}) l^{-1-2i}
-        (at r = 0 the r/(r^2+l^2) term is the atom)."""
-        r, k = self.r, 1.0 / np.pi
+        and l/(1+l^2) - l/(r^2+l^2) = sum_{i>=1} (-1)^i (1 - r^{2i}) l^{-1-2i}."""
+        r, k, e = self.r, 1.0 / np.pi, math.e
+        if 0.0 < r < 1e-4:
+            raise DomainError("the G_r measure needs r = 0 or r >= 1e-4 (2.6e6 grid points)")
+        h = 2.0 ** min(-7, math.floor(math.log2(r / 10.0))) if r > 0 else 2.0 ** -7
+        m = max(20000, int(10.0 / h))
         cos = [(k * (-1) ** i, 0.0, 2 + 2 * i) for i in range(6)]
-        cos += [(k / _E * (-1) ** i * (r ** (2 * i + 1) - 1.0), 1.0, 2 + 2 * i) for i in range(6)]
-        sin = [(k / _E * (-1) ** i * (1.0 - r ** (2 * i)), 1.0, 1 + 2 * i) for i in range(1, 7)]
-        grid = np.linspace(-200.0, 200.0, 40001)
+        cos += [(k / e * (-1) ** i * (r ** (2 * i + 1) - 1.0), 1.0, 2 + 2 * i) for i in range(6)]
+        sin = [(k / e * (-1) ** i * (1.0 - r ** (2 * i)), 1.0, 1 + 2 * i) for i in range(1, 7)]
+        grid = h * np.arange(-m, m + 1)
         atoms = ((0.0, math.exp(-1.0)),) if r == 0.0 else ()
         return SpectralMeasure(grid, self.density(grid), atoms=atoms,
                                tail=TailDescriptor.from_terms(cos, sin))

@@ -382,8 +382,7 @@ def second_moment(measure: SpectralMeasure, cutoff: float) -> SecondMomentResult
         if abs(loc) <= cutoff:
             value += w * loc * loc
     L = measure.cutoff
-    tail = measure.tail
-    if cutoff > L and tail is not None and (tail.terms or tail.sine_terms):
+    if cutoff > L and measure.tail is not None:     # coeff 0 adds nothing
         p, c = measure.tail.exponent, measure.tail.coeff
         if abs(p - 3.0) < 1e-12:
             value += 2.0 * c * math.log(cutoff / L)

@@ -20,7 +20,8 @@ from pdext.kernels import (DomainError, SpectralMeasure, TailDescriptor,
                            bochner_transform, kernel_from_name, second_moment)
 
 EPS = np.finfo(float).eps
-RS = [0.0, 0.25, 0.5, 0.8, 1.0]
+# 1e-3 and 0.045 put the peak r/(r^2+l^2) of ghat_r at l = 0 below a 0.01 grid step
+RS = [0.0, 1e-3, 0.045, 0.25, 0.5, 0.8, 1.0]
 
 
 @pytest.fixture()
@@ -37,6 +38,13 @@ def test_reconstruction_on_and_past_the_interval(r, no_quadpack):
     got = np.array([g.reconstruct(x) for x in xs])
     assert np.max(np.abs(got - g(xs))) <= 1e-11
     assert abs(g.mass() - 1.0) <= 1e-11
+
+
+def test_measure_refuses_r_below_its_grid_resolution(capsys):
+    with pytest.raises(DomainError):
+        g_r_extension(5e-5).mass()
+    assert main(["extend", "--r", "5e-5", "--points", "5"]) == 1
+    assert g_r_extension(5e-5)(2.0) == pytest.approx(math.exp(-1.0 - 5e-5))
 
 
 def test_measure_holds_the_atom_only_at_r_zero():
