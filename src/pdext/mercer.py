@@ -6,17 +6,23 @@ weights sum to a), which is what the trace identity check relies on.  On
 uniform nodes the matrix h F(x_i - x_j) depends only on |i - j|, so it is
 the symmetric Toeplitz matrix of one kernel row.  Such a matrix is also
 centrosymmetric: it commutes with the reversal of the nodes about a/2, so its
-eigenvectors are even or odd there and ``discretize`` diagonalizes two
+eigenvectors are even or odd there and the spectrum splits into two
 half-size blocks (even and odd) in place of one n-square matrix.  Both blocks
 keep every eigenvalue and their traces add up to the matrix trace, so the
 trace identity check still reads sum lam.  For the triangle the two halves
 are the two root families of the paper, cos(k/4) = 0 (odd) and
 tan(k/4) = 4/(3k) (even).
+
+``discretize`` computes only the eigenvalues (``eigvalsh`` on each block):
+most callers read nothing else.  The eigenfunctions are computed on first
+access to ``MercerDecomposition.eigenfunctions``, by ``eigh`` on the same
+two blocks rebuilt from the kernel row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -40,15 +46,50 @@ class NystromConfig:
 class MercerDecomposition:
     """Quadrature nodes/weights plus the discrete spectrum of T_F.
 
-    ``eigenfunctions[:, n]`` holds xi_n at the nodes, L^2-orthonormal under
-    the quadrature weights.
+    ``eigenvalues`` (descending) are fixed at construction.  The
+    eigenfunctions are not: ``_row`` is the kernel row h F(x_k - x_0) and
+    ``_column`` maps the even block's eigenvalues (ascending) and then the
+    odd block's to their places in ``eigenvalues``.
     """
 
     kernel: PdKernel
     nodes: np.ndarray
     weights: np.ndarray
     eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
+    _row: np.ndarray = field(repr=False)
+    _column: np.ndarray = field(repr=False)
+
+    @cached_property
+    def eigenfunctions(self) -> np.ndarray:
+        """``eigenfunctions[:, n]`` holds xi_n at the nodes, L^2-orthonormal
+        under the quadrature weights.  Computed on first access by ``eigh``
+        on the even and odd blocks of ``discretize`` (the n^2 result, plus
+        one block and its eigenvectors at a time); the k-th vector of a
+        block goes to the column of that block's k-th eigenvalue, so
+        ``eigenvalues`` never changes.  Each block's eigenvectors / sqrt(h),
+        unfolded to [u; (middle); J u] / sqrt 2 or [u; (0); -J u] / sqrt 2,
+        are the node samples of xi_n.
+        """
+        n = len(self.nodes)
+        h = self.weights[0]
+        p, q = n // 2, n - n // 2
+        ce, co = self._column[:q], self._column[q:]
+        # row m of xt is xi_m at the nodes: whole rows are written, and xt.T
+        # serves columns to the consumers
+        xt = np.empty((n, n))
+        U = np.linalg.eigh(_parity_block(self._row, odd=False))[1]
+        U[:p] /= np.sqrt(2.0 * h)
+        U[p:] /= np.sqrt(h)              # the middle node of odd n
+        xt[ce, :q] = U.T
+        xt[ce, q:] = U[:p][::-1].T
+        del U                            # before the odd block's eigh
+        U = np.linalg.eigh(_parity_block(self._row, odd=True))[1]
+        U /= np.sqrt(2.0 * h)
+        xt[co, :p] = U.T
+        xt[co, p:q] = 0.0
+        np.negative(U, out=U)
+        xt[co, q:] = U[::-1].T
+        return xt.T
 
     @property
     def rank(self) -> int:
@@ -93,8 +134,23 @@ class MercerDecomposition:
         return [tuple([x] + [float(c) for c in row]) for x, row in zip(xs, cols)]
 
 
+def _parity_block(row: np.ndarray, odd: bool) -> np.ndarray:
+    """The even or odd half block (see ``discretize``) of the symmetric
+    Toeplitz matrix of ``row``, read through a strided view of the row."""
+    n = len(row)
+    T = sliding_window_view(np.concatenate([row[:0:-1], row]), n)[::-1]
+    p, q = n // 2, n - n // 2          # q = p + 1 holds the middle node of odd n
+    if odd:
+        return T[:p, :p] - T[:p, q:][:, ::-1]
+    even = T[:q, :q] + T[:q, p:][:, ::-1]
+    even[p:] /= np.sqrt(2.0)
+    even[:, p:] /= np.sqrt(2.0)
+    return even
+
+
 def discretize(kernel: PdKernel, cfg: NystromConfig = NystromConfig()) -> MercerDecomposition:
-    """Midpoint Nystrom matrix h F(x_i - x_j) on n uniform nodes, diagonalized.
+    """Midpoint Nystrom matrix h F(x_i - x_j) on n uniform nodes: its
+    eigenvalues, with the eigenfunctions left to first access.
 
     The entry depends only on |i - j| (F(x - y) is a convolution and Re F is
     even), so the matrix T is the symmetric Toeplitz matrix of the row
@@ -109,11 +165,14 @@ def discretize(kernel: PdKernel, cfg: NystromConfig = NystromConfig()) -> Mercer
       is the eigenvector entry itself;
     * odd, [u; (0); -J u] / sqrt 2: B - CJ.
 
-    Every eigenvalue of both blocks is kept, so the trace of the pair,
-    2 tr B + (T_pp for odd n), is tr T = n h F(0) and trace() = sum lam keeps
-    its meaning.  The two lists merge into one descending order, and each
-    block's eigenvectors / sqrt(h) (the node samples of xi_n) are written
-    straight into their output columns.
+    ``np.linalg.eigvalsh`` on each block sets lam; the blocks are built one
+    at a time, so the peak is one block (n^2 / 4 doubles) and eigvalsh's
+    copy of it.  Every eigenvalue of both is kept, so the trace of the
+    pair, 2 tr B + (T_pp for odd n), is tr T = n h F(0) and trace() = sum
+    lam keeps its meaning.  The two lists merge into one descending order;
+    a kernel whose smallest eigenvalue is below -EPS_PSD is refused.  The
+    decomposition keeps the row and the merge permutation, from which
+    ``eigenfunctions`` runs ``eigh`` on the same blocks when first read.
     """
     n = cfg.node_count
     a = kernel.half_width
@@ -121,15 +180,8 @@ def discretize(kernel: PdKernel, cfg: NystromConfig = NystromConfig()) -> Mercer
     nodes = (np.arange(n) + 0.5) * h
     weights = np.full(n, h)
     row = h * kernel(nodes - nodes[0]).real
-    T = sliding_window_view(np.concatenate([row[:0:-1], row]), n)[::-1]
-    p, q = n // 2, n - n // 2          # q = p + 1 holds the middle node of odd n
-    even = T[:q, :q] + T[:q, p:][:, ::-1]
-    even[p:] /= np.sqrt(2.0)
-    even[:, p:] /= np.sqrt(2.0)
-    lam_e, Ue = np.linalg.eigh(even)
-    del even                        # before the odd block: the peak stays ~1.5 n^2 doubles
-    lam_o, Uo = np.linalg.eigh(T[:p, :p] - T[:p, q:][:, ::-1])
-    lam = np.concatenate([lam_e, lam_o])
+    lam = np.concatenate([np.linalg.eigvalsh(_parity_block(row, odd=False)),
+                          np.linalg.eigvalsh(_parity_block(row, odd=True))])
     order = np.argsort(lam)[::-1]
     lam = lam[order]
     if lam[-1] < -EPS_PSD:
@@ -138,20 +190,7 @@ def discretize(kernel: PdKernel, cfg: NystromConfig = NystromConfig()) -> Mercer
             f"{lam[-1]:.3e} < -{EPS_PSD}")
     column = np.empty(n, dtype=np.intp)
     column[order] = np.arange(n)
-    ce, co = column[:q], column[q:]
-    Ue[:p] /= np.sqrt(2.0 * h)
-    Ue[p:] /= np.sqrt(h)             # the middle node of odd n
-    Uo /= np.sqrt(2.0 * h)
-    # row m of xt is xi_m at the nodes: whole rows are written, and xt.T
-    # serves columns to the consumers
-    xt = np.empty((n, n))
-    xt[ce, :q] = Ue.T
-    xt[ce, q:] = Ue[:p][::-1].T
-    xt[co, :p] = Uo.T
-    xt[co, p:q] = 0.0
-    np.negative(Uo, out=Uo)
-    xt[co, q:] = Uo[::-1].T
-    return MercerDecomposition(kernel, nodes, weights, lam, xt.T)
+    return MercerDecomposition(kernel, nodes, weights, lam, row, column)
 
 
 def kernel_reconstruct(dec: MercerDecomposition, N: int, x: float, y: float) -> complex:
