@@ -130,7 +130,11 @@ def verify_against_mercer(spec: TranscendentalSpec, dec: MercerDecomposition,
 
 def mollifier(center: float, width: float):
     """C_c^infty bump exp(-1/(1-u^2)) on |u| < 1, u = (x-center)/width,
-    with analytic first and second derivatives."""
+    with analytic first and second derivatives.  A center or width that is
+    not finite, or a width <= 0, raises DomainError."""
+    if not (np.isfinite(center) and np.isfinite(width) and width > 0):
+        raise DomainError(f"mollifier needs a finite center and a finite width > 0, "
+                          f"got center {center!r}, width {width!r}")
 
     def parts(x):
         u = (np.asarray(x, dtype=float) - center) / width

@@ -33,9 +33,8 @@ import numpy as np
 from .elliptic import bracketed_roots
 from .kernels import (EPS_PSD, DomainError, PdKernel, SpectralMeasure,
                       TailDescriptor, bochner_transform)
-from .quadrature import GL_POINTS, UNIT_PANELS, panel_nodes
 from .rkhs import (Sampled, e_lambda_weights, exp_basis_coefficients, exp_sum,
-                   sampled_from_callable)
+                   lattice_fourier, sampled_from_callable)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +184,14 @@ def extension_measure(ext: TypeOneExtension) -> SpectralMeasure:
 def sample_via_spectrum(phi: Callable, ext: TypeOneExtension, x):
     """(T_F phi)(x) = sum_n w_n phihat(lam_n) e^{i lam_n x} with
     phihat(lam) = int_0^1 phi(y) e^{-i lam y} dy; a complex number for a
-    point x, an array of the shape of x otherwise."""
+    point x, an array of the shape of x otherwise.  phihat is
+    rkhs.lattice_fourier on P GL panels, P the smallest power of two
+    >= max(UNIT_PANELS, max|lam|/2), which resolves e^{-i lam y} to 1e-12
+    for every lam of the spectrum; its cost is O(len(lam) P)."""
     xs = np.asarray(x, dtype=float)
     if not np.all((0.0 < xs) & (xs < 1.0)):
         raise DomainError("sampling formula holds on (0, 1)")
-    y, w = panel_nodes(0.0, 1.0, UNIT_PANELS, GL_POINTS)
-    # phihat(lam) = sum_j w_j phi(y_j) e^{i y_j (-lam)}: an exp_sum over the nodes y
-    phihat = exp_sum(y, phi(y) * w, -ext.lambdas)
+    phihat = lattice_fourier(phi, ext.lambdas)
     out = exp_sum(ext.lambdas, ext.coeffs * phihat, xs)
     return complex(out) if out.ndim == 0 else out
 

@@ -20,8 +20,9 @@ _BLOCK_ENTRIES = 2 ** 18
 # Gauss-Legendre points per cell of the smoothing transforms, the [0, 1]
 # rule below and the concentration functional
 GL_POINTS = 6
-# panels of the [0, 1] rule of the exp inner products and the sampling formula;
-# it resolves e^{i lam x} to 1e-12 up to |lam| = 2 UNIT_PANELS
+# panels of the [0, 1] rule of the exp inner products, which resolves
+# e^{i lam x} to 1e-12 up to |lam| = 2 UNIT_PANELS; for the sampling formula it
+# is a floor, refined to the spectrum by rkhs.resolving_panels
 UNIT_PANELS = 256
 # bound on rate x span of a cumsum block in the prefix-moment apply (e^300 is finite)
 _DECAY_SPAN = 300.0

@@ -18,6 +18,7 @@ For the exp kernel the H_F inner product has the Sobolev boundary form
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -26,7 +27,7 @@ import numpy as np
 from .kernels import (EXP_DESCRIPTOR, MEASURE_GRID_POINTS, DomainError,
                       MeasureOnInterval, PdKernel, descriptor_for_kernel, simpson_grid)
 from .quadrature import (_BLOCK_ENTRIES, GL_POINTS, UNIT_PANELS, convolution_apply,
-                         integrate, simpson, split_panel_nodes)
+                         gl_rule, integrate, simpson, split_panel_nodes)
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,42 @@ def exp_sum(lams, coeffs, x) -> np.ndarray:
     rows = max(1, _BLOCK_ENTRIES // max(1, len(lams)))
     return np.concatenate([np.exp(1j * np.outer(flat[i:i + rows], lams)) @ coeffs
                            for i in range(0, max(1, flat.size), rows)]).reshape(x.shape)
+
+
+def resolving_panels(lambdas) -> int:
+    """Panels of the GL_POINTS-point rule on [0, 1] that resolve e^{-i lam y}
+    for every lam: the smallest power of two >= max(UNIT_PANELS, max|lam|/2)."""
+    top = float(np.max(np.abs(lambdas), initial=0.0)) / 2.0
+    return UNIT_PANELS if top <= UNIT_PANELS else 1 << math.ceil(math.log2(top))
+
+
+def lattice_fourier(f: Callable, lambdas) -> np.ndarray:
+    """int_0^1 f(y) e^{-i lam y} dy for every lam, on P = resolving_panels
+    GL panels of width h = 1/P.  Node q of panel B alpha + beta (B about
+    sqrt P) is y = (B alpha + beta + s_q) h, so e^{-i lam y} is
+    e^{-i lam B alpha h} e^{-i lam beta h} e^{-i lam s_q h}: the sum over beta
+    is one matrix product, the sums over alpha and q are reductions of its
+    result, and each lam needs P/B + B + GL_POINTS exponentials, not
+    GL_POINTS P.  Time is O(len(lambdas) P); lam is taken _BLOCK_ENTRIES / P
+    at a time, so memory stays O(P + _BLOCK_ENTRIES)."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    P = resolving_panels(lambdas)
+    B = 1 << (P.bit_length() - 1) // 2
+    t, wq = gl_rule(GL_POINTS)
+    s = 0.5 * (1.0 + t)
+    y = ((np.arange(P)[:, None] + s) / P).ravel()
+    fw = np.asarray(f(y)) * np.tile(0.5 * wq / P, P)
+    v = fw.reshape(P // B, B, GL_POINTS).transpose(1, 0, 2).reshape(B, -1)   # v[beta, (alpha, q)]
+
+    def block(lam):
+        phase = lambda steps: np.exp(-1j * np.outer(lam, steps / P))
+        m = (phase(np.arange(B)) @ v).reshape(len(lam), P // B, GL_POINTS)   # over beta
+        m = (phase(np.arange(0, P, B))[:, None, :] @ m)[:, 0]                # over alpha
+        return (m * phase(s)).sum(axis=1)                                    # over q
+
+    rows = max(1, _BLOCK_ENTRIES // P)
+    return np.concatenate([block(lambdas[i:i + rows])
+                           for i in range(0, max(1, len(lambdas)), rows)])
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,11 @@ class TestSampleCmd:
         for line in out.read_text().strip().splitlines()[1:]:
             assert float(line.split(",")[3]) < 1e-2
 
+    @pytest.mark.parametrize("width", ["nan", "0", "-0.3", "inf"])
+    def test_bad_width_is_refused(self, width, capsys):
+        assert run(["sample", "--width", width]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
+
 
 class TestIsometryCmd:
     def test_default_passes(self, tmp_path):

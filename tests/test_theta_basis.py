@@ -10,10 +10,20 @@ from pdext import DomainError
 from pdext.elliptic import mollifier
 from pdext.extensions import (ThetaExpansion, expand_in_theta_basis, extend_type1,
                               sample_via_spectrum, unitary_evolve)
+from pdext.mercer import apply_operator
 from pdext.quadrature import GL_POINTS, UNIT_PANELS, panel_nodes
 from pdext.rkhs import (complex_exponential, e_lambda_measure, e_lambda_weights,
                         element_measure_expansion, exp_basis_coefficients,
-                        exp_sum, sampled_from_callable)
+                        exp_sum, lattice_fourier, resolving_panels,
+                        sampled_from_callable)
+
+
+def phi_sin(y):
+    return np.sin(3.0 * y) ** 2 + y
+
+
+def phi_complex(y):
+    return np.exp(2j * y) * (1.0 + y)
 
 
 def f0():
@@ -134,21 +144,18 @@ class TestBlockedExpSum:
     """exp_sum forms e^{i lam x} in row blocks; each row is reduced on its
     own, so the result is the one-shot outer product's, bit for bit."""
 
-    def test_sample_via_spectrum_blocked_and_small(self):
+    def test_blocked_equals_the_one_shot_product(self):
+        # the N = 1000 sizes: 2001 lam against the 1536 nodes of the 256-panel
+        # rule, then the 2001-term sum at 19 points
         ext = extend_type1(0.5, 1000)
-        phi = lambda y: np.sin(3.0 * y) ** 2 + y
-        xs = np.linspace(0.05, 0.95, 19)
-        tracemalloc.start()
-        try:
-            out = sample_via_spectrum(phi, ext, xs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
         y, w = panel_nodes(0.0, 1.0, UNIT_PANELS, GL_POINTS)
-        phihat = np.exp(1j * np.outer(-ext.lambdas, y)) @ (phi(y) * w)
-        ref = np.exp(1j * np.outer(xs, ext.lambdas)) @ (ext.coeffs * phihat)
-        assert np.array_equal(out, ref)
+        c = phi_sin(y) * w
+        phihat = exp_sum(y, c, -ext.lambdas)
+        assert np.array_equal(phihat, np.exp(1j * np.outer(-ext.lambdas, y)) @ c)
+        xs = np.linspace(0.05, 0.95, 19)
+        d = ext.coeffs * phihat
+        assert np.array_equal(exp_sum(ext.lambdas, d, xs),
+                              np.exp(1j * np.outer(xs, ext.lambdas)) @ d)
 
     def test_keeps_the_shape_of_x(self):
         rng = np.random.default_rng(5)
@@ -159,3 +166,47 @@ class TestBlockedExpSum:
         assert out.shape == (3, 4)
         assert np.array_equal(out, (np.exp(1j * np.outer(x, lams)) @ c).reshape(3, 4))
         assert exp_sum(lams, c, 0.25).shape == ()
+
+
+class TestLatticeFourier:
+    """lattice_fourier against the one-shot direct sum on the same panels."""
+
+    @staticmethod
+    def direct(phi, lams):
+        y, w = panel_nodes(0.0, 1.0, resolving_panels(lams), GL_POINTS)
+        return np.exp(-1j * np.outer(lams, y)) @ (phi(y) * w), np.sum(np.abs(phi(y) * w))
+
+    @pytest.mark.parametrize("phi", [phi_sin, phi_complex])
+    @pytest.mark.parametrize("theta, N, panels", [(0.5, 79, 256), (0.5, 82, 512),
+                                                  (0.0, 40, 256), (0.0, 200, 1024)])
+    def test_matches_the_direct_sum(self, phi, theta, N, panels):
+        lams = extend_type1(theta, N).lambdas
+        assert resolving_panels(lams) == panels
+        # N = 79 and 82 straddle |lam| = 512, where P goes from 256 to 512;
+        # theta = 0 puts lam = 0 in the spectrum
+        assert (theta == 0.0) == (0.0 in lams)
+        ref, scale = self.direct(phi, lams)
+        assert np.max(np.abs(lattice_fourier(phi, lams) - ref)) <= 1e-13 * scale
+
+    def test_sample_keeps_the_shape_of_x_above_512(self):
+        ext = extend_type1(0.5, 82)
+        xs = np.linspace(0.05, 0.95, 12).reshape(3, 4)
+        out = sample_via_spectrum(phi_sin, ext, xs)
+        assert out.shape == (3, 4)
+        assert isinstance(sample_via_spectrum(phi_sin, ext, 0.5), complex)
+        single = np.array([sample_via_spectrum(phi_sin, ext, float(x)) for x in xs.ravel()])
+        assert np.max(np.abs(out.ravel() - single)) < 1e-15
+
+    def test_sample_at_n1000_matches_apply_operator_and_stays_small(self, kexp):
+        # |lam| reaches 6281, past what the 256-panel rule resolves (off by
+        # 1.7e-8 there); the refined panels agree to 1e-9
+        ext = extend_type1(0.5, 1000)
+        xs = np.linspace(0.05, 0.95, 19)
+        tracemalloc.start()
+        try:
+            out = sample_via_spectrum(phi_sin, ext, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert np.max(np.abs(out - apply_operator(kexp, phi_sin, xs))) < 1e-9
