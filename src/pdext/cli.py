@@ -291,6 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise kernels.DomainError(f"--{name} must be finite, got {value!r}")
         return args.fn(args)
     except Exception as exc:  # error JSON contract
         sys.stdout.write(json.dumps(

@@ -104,7 +104,10 @@ class MercerMatchReport:
 def verify_against_mercer(spec: TranscendentalSpec, dec: MercerDecomposition,
                           N: int) -> MercerMatchReport:
     """Match the top N Nystrom eigenvalues with mapped transcendental roots;
-    eigenvalues with no root within 1e-3 relative are reported, not hidden."""
+    eigenvalues with no root within 1e-3 relative are reported, not hidden.
+    N above the decomposition's rank raises DomainError."""
+    if N > dec.rank:
+        raise DomainError(f"{N} eigenvalues asked of a rank {dec.rank} decomposition")
     roots = solve_transcendental(spec, max(2 * N + 8, 16))
     mapped = spec.mercer_map(roots)
     order = np.argsort(mapped)[::-1]

@@ -350,6 +350,8 @@ def discrete_isometry_check(S: Sequence[float], F_vals: Callable,
     eigenvector witness) when the Gram matrix is not PSD.
     """
     S = np.asarray(S, dtype=float)
+    if not np.all(np.isfinite(S)):
+        raise DomainError(f"isometry points must be finite, got {S.tolist()}")
     n = len(S)
     # both sides on D[j, k] = s_j - s_k, evaluated once per distinct difference
     diffs, inverse = np.unique(S[:, None] - S[None, :], return_inverse=True)

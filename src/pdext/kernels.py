@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -50,17 +49,6 @@ def simpson_grid(grid) -> np.ndarray:
     if len(h) and np.max(h) - np.min(h) > 1e-9 * np.mean(h):
         raise DomainError("grid is not uniform")
     return grid
-
-
-def _quiet_quad(f, a, b, **kw):
-    """quad with the subdivision-cap warning silenced: slowly oscillating
-    tails trip the cap while the returned estimate is already at the
-    accuracy the callers assert in tests."""
-    from scipy.integrate import IntegrationWarning, quad
-    kw.setdefault("limit", 800)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(f, a, b, **kw)[0]
 
 
 def bspline_autoconvolution(k: int, u) -> np.ndarray:
@@ -145,19 +133,17 @@ class SpectralMeasure:
     """Finite positive Borel measure: density on a uniform grid, atoms, and
     the density past the grid cutoff L.
 
-    A declared ``tail`` gives that density as terms (none for
-    ``TailDescriptor.none()``).  ``density_fn``, the exact density, serves
-    only a measure built by hand with ``tail=None``: its tail is then
-    integrated by QUADPACK, while a tail-free measure without one has no
-    mass past the grid.  The grid samples stay the canonical payload.  Any
-    tail starts at -L and at L, so it needs a symmetric grid.
+    A declared ``tail`` gives that density as terms, integrated in closed
+    form; ``TailDescriptor.none()`` and ``tail=None`` put no mass past the
+    grid (``second_moment`` reads a declared tail's envelope and fits an
+    exponent to the samples for ``tail=None``).  Any tail with terms starts
+    at -L and at L, so it needs a symmetric grid.
     """
 
     grid: np.ndarray
     density: np.ndarray
     atoms: tuple[tuple[float, float], ...] = ()
     tail: Optional[TailDescriptor] = None
-    density_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         grid = simpson_grid(self.grid)
@@ -171,9 +157,7 @@ class SpectralMeasure:
         for _, w in self.atoms:
             if w <= 0:
                 raise ValueError("atom weights must be positive")
-        has_tail = self.density_fn is not None if self.tail is None else \
-            bool(self.tail.terms or self.tail.sine_terms)
-        if has_tail and (len(grid) < 2 or grid[0] != -grid[-1]):
+        if _has_terms(self.tail) and (len(grid) < 2 or grid[0] != -grid[-1]):
             raise DomainError("a tail past the grid needs a symmetric grid, grid[0] = -grid[-1]")
 
     @property
@@ -181,7 +165,7 @@ class SpectralMeasure:
         return float(np.max(np.abs(self.grid))) if len(self.grid) else 0.0
 
     def tail_mass(self) -> float:
-        return _tail_fourier(self, 0.0).real
+        return _tail_fourier(self, 0.0)
 
     def total_mass(self) -> float:
         return bochner_transform(self, 0.0).real
@@ -264,11 +248,6 @@ def _power_integrals(b: np.ndarray, L: float, n_max: int) -> tuple[np.ndarray, n
     return scale * E.real, scale * E.imag
 
 
-def _cos_power_integrals(b: np.ndarray, L: float, n_max: int) -> np.ndarray:
-    """The rows J_n of ``_power_integrals``."""
-    return _power_integrals(b, L, n_max)[0]
-
-
 def _closed_form_tail(tail: TailDescriptor, L: float, x: float) -> float:
     """int_{|l| > L} e^{i l x} density(l) dl for a tail's terms, real since
     the tail is even: c cos(w l) |l|^{-p} gives c [J_p(|x - w|) + J_p(|x + w|)],
@@ -286,34 +265,25 @@ def _closed_form_tail(tail: TailDescriptor, L: float, x: float) -> float:
     return float(total)
 
 
-def _tail_fourier(measure: SpectralMeasure, x: float) -> complex:
+def _has_terms(tail: Optional[TailDescriptor]) -> bool:
+    return tail is not None and bool(tail.terms or tail.sine_terms)
+
+
+def _tail_fourier(measure: SpectralMeasure, x: float) -> float:
     """int_{|l| > L} e^{i l x} density(l) dl past the cutoff L: the closed
-    form of a declared tail's terms (0 for ``TailDescriptor.none()``), QAWF
-    on ``density_fn`` for an undeclared tail (``tail=None``), else 0."""
-    L = measure.cutoff
-    if measure.tail is not None:
-        tail = measure.tail
-        return _closed_form_tail(tail, L, x) if tail.terms or tail.sine_terms else 0.0
-    f = measure.density_fn
-    if f is None:
-        return 0.0
-    fm = lambda l: f(-l)
-    if abs(x) < 1e-12:
-        return _quiet_quad(f, L, np.inf) + _quiet_quad(fm, L, np.inf)
-    re = (_quiet_quad(f, L, np.inf, weight="cos", wvar=x)
-          + _quiet_quad(fm, L, np.inf, weight="cos", wvar=x))
-    im = (_quiet_quad(f, L, np.inf, weight="sin", wvar=x)
-          - _quiet_quad(fm, L, np.inf, weight="sin", wvar=x))
-    return re + 1j * im
+    form of a declared tail's terms, 0 for ``TailDescriptor.none()`` and
+    for ``tail=None``."""
+    return _closed_form_tail(measure.tail, measure.cutoff, x) if _has_terms(measure.tail) else 0.0
 
 
 def bochner_transform(measure: SpectralMeasure, x: float) -> complex:
-    """mu_hat(x) = int e^{i l x} dmu(l); atoms summed exactly, grid density
-    by Simpson, the density past the cutoff by ``_tail_fourier``: in closed
-    form for every declared tail (each built-in measure, and any measure
-    read from JSON), by QAWF only for a hand-built ``tail=None`` measure
-    with a ``density_fn``.  ``total_mass`` is mu_hat(0)."""
+    """mu_hat(x) = int e^{i l x} dmu(l) at a finite x (DomainError
+    otherwise); atoms summed exactly, grid density by Simpson, the density
+    past the cutoff by ``_tail_fourier`` in closed form.  No path uses
+    QUADPACK.  ``total_mass`` is mu_hat(0)."""
     x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"bochner_transform needs a finite x, got {x!r}")
     total = 0.0 + 0.0j
     if len(measure.grid) > 1:
         total += simpson(measure.density * np.exp(1j * measure.grid * x), measure.grid)

@@ -39,7 +39,7 @@ class NystromConfig:
 
     def __post_init__(self):
         if self.node_count < 16:
-            raise ValueError("node_count must be >= 16")
+            raise DomainError("node_count must be >= 16")
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class MercerDecomposition:
     def coefficients(self, values_at_nodes: np.ndarray, m: int) -> np.ndarray:
         """<xi_n, h>_2 for n < m by nodal quadrature."""
         if m > self.rank:
-            raise ValueError(f"rank {m} exceeds available rank {self.rank}")
+            raise DomainError(f"rank {m} exceeds available rank {self.rank}")
         return (self.eigenfunctions[:, :m].conj().T
                 @ (self.weights * values_at_nodes))
 
@@ -197,7 +197,7 @@ def kernel_reconstruct(dec: MercerDecomposition, N: int, x: float, y: float) -> 
     """Truncated Mercer expansion sum_{n<N} lam_n xi_n(x) conj(xi_n(y));
     off-node points use the Nystrom extension."""
     if N > dec.rank:
-        raise ValueError("N exceeds rank")
+        raise DomainError("N exceeds rank")
     fx, fy = dec.eigenfunction_at(slice(N), [float(x), float(y)])
     return complex(np.sum(dec.eigenvalues[:N] * fx * np.conj(fy)))
 

@@ -403,7 +403,7 @@ def element_from_measure(mu: MeasureOnInterval, kernel: PdKernel,
     grid = np.linspace(0.0, a, n + 1)
     values = np.zeros(n + 1, dtype=complex)
     dvalues = np.zeros(n + 1, dtype=complex)
-    dens_fn = getattr(mu, "density_fn", None)
+    dens_fn = mu.density_fn
     if len(mu.grid) > 1 and np.max(np.abs(mu.density)) > 0:
         if dens_fn is None:
             g, d = mu.grid, mu.density

@@ -4,7 +4,7 @@ Past the grid cutoff L each built-in density is a finite sum
 c cos(w l) |l|^{-p}; its Fourier integral is a sum of
 J_p(b) = int_L^inf cos(b l) l^{-p} dl, evaluated from ``sici`` by
 integration by parts (or from a continued fraction at high frequency)
-instead of QAWF.  The oracle is the kernel itself:
+with no quadrature.  The oracle is the kernel itself:
 mu_hat = F on (-a, a).
 """
 
@@ -37,21 +37,14 @@ def kernel(request):
     return BUILT_INS[request.param]()
 
 
-@pytest.fixture()
-def no_quadpack(monkeypatch):
-    def refuse(*args, **kw):
-        raise AssertionError("QUADPACK reached")
-    monkeypatch.setattr(kernels, "_quiet_quad", refuse)
-
-
-def test_restriction_identity(kernel, no_quadpack):
+def test_restriction_identity(kernel):
     a = kernel.half_width
     xs = np.linspace(-a, a, 41)
     got = np.array([bochner_transform(kernel.measure, x) for x in xs])
     assert np.max(np.abs(got - kernel(xs))) <= 1e-11
 
 
-def test_total_mass_is_F0(kernel, no_quadpack):
+def test_total_mass_is_F0(kernel):
     assert abs(kernel.measure.total_mass() - float(kernel(0.0))) <= 1e-11
 
 
@@ -100,7 +93,7 @@ def test_cos_power_integrals_against_quadrature(L):
     from the absolute error of the sine integral, with b capped where the
     recursion turns downward (past b = 1 and bL = 12)."""
     bs = np.array([1e-3, 0.05, 0.7, 1.0, 1.5, 3.5, 40.0])
-    J = kernels._cos_power_integrals(bs, L, 12)
+    J = kernels._power_integrals(bs, L, 12)[0]
     for i, b in enumerate(bs):
         b_up = min(b, max(1.0, 12.0 / L))
         for n in range(2, 13):
@@ -109,7 +102,7 @@ def test_cos_power_integrals_against_quadrature(L):
 
 
 def test_cos_power_integrals_at_zero_frequency():
-    J = kernels._cos_power_integrals(np.array([0.0]), 7.0, 8)
+    J = kernels._power_integrals(np.array([0.0]), 7.0, 8)[0]
     for n in range(2, 9):
         assert J[n, 0] == pytest.approx(7.0 ** (1 - n) / (n - 1), rel=4 * EPS)
 
@@ -122,18 +115,6 @@ def test_transform_past_the_interval():
     for x in (2.5, 5.0, 10.0, 20.0, 40.0):
         want = float(bspline_autoconvolution(6, x)) / b0
         assert abs(bochner_transform(ker.measure, x) - want) <= 1e-13
-
-
-def test_density_fn_only_measure_still_uses_quadpack(monkeypatch):
-    calls = []
-    real = kernels._quiet_quad
-    monkeypatch.setattr(kernels, "_quiet_quad",
-                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    fn = lambda l: 1.0 / (np.pi * (1.0 + l * l))
-    grid = np.linspace(-200.0, 200.0, 20001)
-    mu = SpectralMeasure(grid, fn(grid), density_fn=fn)
-    assert abs(bochner_transform(mu, 0.5) - math.exp(-0.5)) < 1e-9
-    assert calls
 
 
 def test_tail_with_terms_needs_symmetric_grid():

@@ -243,6 +243,17 @@ class TestContract:
         payload = json.loads(capsys.readouterr().out)
         assert "error" in payload and "detail" in payload
 
+    @pytest.mark.parametrize("args", [["extend", "--theta", "0", "--xmin", "nan"],
+                                      ["extend", "--xmax", "inf"],
+                                      ["spectrum", "--theta", "inf"],
+                                      ["isometry", "--tol", "nan"],
+                                      ["isometry", "--points", "0,nan"],
+                                      ["isometry", "--points", "0,0.5,nan"],
+                                      ["mercer", "--nodes", "16", "--n", "40"]])
+    def test_domain_error_on_bad_arguments(self, args, capsys):
+        assert run(args) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
+
     def test_no_temp_files_left(self, tmp_path):
         out = tmp_path / "x.csv"
         run(["spectrum", "--theta", "0.1", "--n", "2", "--out", str(out)])

@@ -2,8 +2,9 @@
 
 Each case runs in a fresh interpreter, since the test process itself has
 scipy loaded.  No README command imports ``scipy.integrate``: the Bochner
-transforms of ``isometry`` and of ``extend --r`` (the G_r mass) take their
-closed-form tails from ``scipy.special`` alone.
+transforms of ``isometry`` and of ``extend --r`` (the G_r mass), like those
+of every built-in and G_r measure, take their closed-form tails from
+``scipy.special`` alone.
 """
 
 import json
@@ -26,6 +27,23 @@ from pdext.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps({"code": code,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+# transforms every built-in and G_r measure, then reports the scipy modules
+BOCHNER = """
+import json, sys
+import numpy as np
+from pdext.extensions import g_r_extension
+from pdext.kernels import bochner_transform, kernel_from_name
+measures = [kernel_from_name(name).measure for name in
+            ("exp", "triangle", "bspline:4", "bsplinex:2", "bsplinex:4", "bsplinex:6")]
+measures += [g_r_extension(r).measure for r in (0.0, 0.5, 1.0)]
+for mu in measures:
+    for x in np.linspace(-1.0, 1.0, 5):
+        bochner_transform(mu, x)
+    mu.total_mass()
+print(json.dumps({"measures": len(measures),
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
@@ -82,5 +100,12 @@ def test_extend_r_loads_scipy_special_not_integrate(workdir):
 def test_isometry_loads_scipy_special_not_integrate(workdir):
     got = child(CHILD, ["isometry"], workdir)
     assert got["code"] == 0
+    assert "scipy.special" in got["scipy"]
+    assert "scipy.integrate" not in got["scipy"]
+
+
+def test_bochner_transforms_load_no_quadpack(tmp_path):
+    got = child(BOCHNER, [], tmp_path)
+    assert got["measures"] == 9
     assert "scipy.special" in got["scipy"]
     assert "scipy.integrate" not in got["scipy"]

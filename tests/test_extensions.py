@@ -13,7 +13,7 @@ from pdext.extensions import (DefectPair, _tail_bound, boundary_condition_check,
                               extension_measure, g_r_extension,
                               sample_via_spectrum, solve_theta_spectrum,
                               unitary_evolve)
-from pdext.kernels import SpectralMeasure, bochner_transform, gram_matrix
+from pdext.kernels import SpectralMeasure, TailDescriptor, bochner_transform, gram_matrix
 from pdext.mercer import volterra_apply
 from pdext.rkhs import complex_exponential, sampled_from_callable, smooth
 
@@ -301,13 +301,17 @@ class TestDiscreteIsometry:
         assert rep.passed
 
     def test_wrong_mass_fails_with_gap(self, kexp):
-        half = SpectralMeasure(kexp.measure.grid, 0.5 * kexp.measure.density,
-                               tail=None,
-                               density_fn=lambda l: 0.5 / (np.pi * (1 + l * l)))
+        tail = TailDescriptor.from_terms((0.5 * c, w, p) for c, w, p in kexp.measure.tail.terms)
+        half = SpectralMeasure(kexp.measure.grid, 0.5 * kexp.measure.density, tail=tail)
         rep = discrete_isometry_check([0.0, 0.25], lambda t: float(kexp(t)),
                                       half, trials=20)
         assert not rep.passed
         assert rep.max_gap == pytest.approx(0.5, abs=0.2)
+
+    @pytest.mark.parametrize("S", [[0.0, math.nan], [0.0, 0.5, math.nan], [0.0, math.inf]])
+    def test_non_finite_points_are_refused(self, kexp, S):
+        with pytest.raises(DomainError, match="finite"):
+            discrete_isometry_check(S, lambda t: float(kexp(t)), kexp.measure, trials=5)
 
     def test_non_psd_values_fail_immediately(self, kexp):
         # F(1) = -2 < -F(0), so the 3-point Gram cannot be PSD

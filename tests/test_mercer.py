@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pdext import DomainError
-from pdext.elliptic import mollifier
+from pdext.elliptic import exp_bvp_spec, mollifier, verify_against_mercer
 from pdext.kernels import kernel_from_name, tabulated_kernel
 from pdext.mercer import (GreensInverseResult, MercerDecomposition,
                           NystromConfig, apply_operator, discretize,
@@ -39,8 +39,19 @@ class TestDiscretize:
         assert np.max(np.abs(resid)) < 1e-8
 
     def test_node_count_validation(self, kexp):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             NystromConfig(8)
+
+    def test_rank_refusals_are_domain_errors(self, kexp):
+        d = discretize(kexp, NystromConfig(16))
+        with pytest.raises(DomainError):
+            d.coefficients(np.ones(16), 17)
+        with pytest.raises(DomainError):
+            kernel_reconstruct(d, 17, 0.1, 0.2)
+        with pytest.raises(DomainError, match="rank 16"):
+            verify_against_mercer(exp_bvp_spec(), d, 40)
+        report = verify_against_mercer(exp_bvp_spec(), d, 16)
+        assert len(report.matched) + len(report.unmatched) == 16
 
     def test_non_pd_kernel_rejected(self):
         x = np.linspace(0, 1, 11)
