@@ -14,7 +14,8 @@ exit code, the sha256 of stdout and of each file the command wrote, and the
 scipy modules the command loaded (from one more process under
 ``-X importtime``: their count and the public subpackages).  With ``--baseline DIR`` every process also runs, alternating,
 with ``DIR/src`` (another checkout of pdext) on the path, and each case
-records whether both sides wrote the same bytes.
+records whether both sides wrote the same bytes; the script then exits 1
+unless every case matches (``all_outputs_match``).
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def main(argv=None) -> int:
     if args.baseline:
         payload["all_outputs_match"] = all(r["outputs_match"] for r in records)
     Path(args.out).write_text(json.dumps(payload, indent=1) + "\n")
-    return 0
+    return 0 if payload.get("all_outputs_match", True) else 1
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@ import numpy as np
 from . import dyadic, elliptic, extensions, kernels, mercer, rkhs
 
 FMT = "%.17g"
+# least meaningful value of each integer option that has one
+INT_FLOORS = {"depth": 0, "points": 1, "trials": 1}
 
 
 def _fmt(x) -> str:
@@ -207,7 +209,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_isometry(args) -> int:
-    S = [float(s) for s in args.points.split(",")]
+    try:
+        S = [float(s) for s in args.points.split(",")]
+    except ValueError as exc:
+        raise kernels.DomainError(f"--points: {exc}") from None
     kernel = kernels.kernel_from_name(args.kernel)
     report = extensions.discrete_isometry_check(
         S, lambda t: float(kernel(t)), kernel.measure,
@@ -294,6 +299,8 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float) and not np.isfinite(value):
                 raise kernels.DomainError(f"--{name} must be finite, got {value!r}")
+            if isinstance(value, int) and value < INT_FLOORS.get(name, value):
+                raise kernels.DomainError(f"--{name} must be >= {INT_FLOORS[name]}, got {value}")
         return args.fn(args)
     except Exception as exc:  # error JSON contract
         sys.stdout.write(json.dumps(

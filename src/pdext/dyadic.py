@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import DomainError, PdKernel
+from .kernels import DomainError, PdKernel, gram_matrix
 from .rkhs import KernelCombo, combo_eval, combo_gram
 
 
@@ -208,9 +208,7 @@ def projection_interpolation(f: Callable, S: Sequence[float], kernel: PdKernel):
     """Orthogonal projection onto span{F_s : s in S} via the Gram system;
     the projection agrees with f on S and is idempotent on the span."""
     S = np.asarray(sorted(set(float(s) for s in S)))
-    if np.any(S < -1e-12) or np.any(S > kernel.half_width + 1e-12):
-        raise DomainError("sample points must lie in [0, a]")
-    G = kernel(S[:, None] - S[None, :])
+    G = gram_matrix(kernel, S)
     sign, logdet = np.linalg.slogdet(G)
     if sign <= 0 or logdet < len(S) * math.log(1e-12):
         raise DomainError("kernel sections at S are numerically dependent")

@@ -235,7 +235,7 @@ def ellipticity_check(kernel: PdKernel, dec: MercerDecomposition,
     if m is None:
         m = dec.rank // 4
     if 2 * m > dec.rank:
-        raise ValueError("rank 2m exceeds the decomposition rank")
+        raise DomainError("rank 2m exceeds the decomposition rank")
     ratios = {m: 0.0, 2 * m: 0.0}
     for h in samples:
         hv = h.interpolator()(dec.nodes)

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import GL_POINTS, exp_kernel_apply, integrate, poly_exp_kernel_apply, simpson
+from .quadrature import GL_POINTS, exp_kernel_apply, integrate, simpson
 
 EPS_PSD = 1e-9
 
@@ -151,12 +151,12 @@ class SpectralMeasure:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "density", dens)
         if grid.shape != dens.shape:
-            raise ValueError("grid and density must have matching shapes")
+            raise DomainError("grid and density must have matching shapes")
         if len(grid) and np.min(dens) < -1e-12:
-            raise ValueError("density must be nonnegative")
+            raise DomainError("density must be nonnegative")
         for _, w in self.atoms:
             if w <= 0:
-                raise ValueError("atom weights must be positive")
+                raise DomainError("atom weights must be positive")
         if _has_terms(self.tail) and (len(grid) < 2 or grid[0] != -grid[-1]):
             raise DomainError("a tail past the grid needs a symmetric grid, grid[0] = -grid[-1]")
 
@@ -383,42 +383,36 @@ def second_moment(measure: SpectralMeasure, cutoff: float) -> SecondMomentResult
 
 @dataclass(frozen=True)
 class MeasureOnInterval:
-    """Measure of bounded variation on [lo, hi]: uniform-grid density as four
-    nonnegative Jordan parts (re+, re-, im+, im-) plus complex atoms.
-    ``density_fn`` optionally carries the exact density for quadrature."""
+    """Complex measure of bounded variation on [lo, hi]: one complex density
+    array of the uniform grid's shape (both empty for atoms only) plus
+    complex atoms; ``density_fn`` optionally carries the exact density."""
 
     interval: tuple[float, float]
     grid: np.ndarray
-    jordan: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    density: np.ndarray
     atoms: tuple[tuple[float, complex], ...] = ()
     density_fn: Optional[Callable] = None
 
     def __post_init__(self):
         lo, hi = self.interval
         object.__setattr__(self, "grid", simpson_grid(self.grid))
-        parts = tuple(np.asarray(p, dtype=float) for p in self.jordan)
-        object.__setattr__(self, "jordan", parts)
-        for p in parts:
-            if len(p) and np.min(p) < -1e-14:
-                raise ValueError("Jordan parts must be nonnegative")
+        object.__setattr__(self, "density", np.asarray(self.density, dtype=complex))
+        if self.density.shape != self.grid.shape:
+            raise DomainError(f"density of shape {self.density.shape} on a grid of "
+                              f"shape {self.grid.shape}")
         for loc, _ in self.atoms:
             if not (lo - 1e-12 <= loc <= hi + 1e-12):
                 raise DomainError("atom outside the interval")
 
     @staticmethod
     def from_density(interval, grid, values, atoms=(), density_fn=None) -> "MeasureOnInterval":
-        v = np.asarray(values, dtype=complex)
-        jordan = (np.maximum(v.real, 0.0), np.maximum(-v.real, 0.0),
-                  np.maximum(v.imag, 0.0), np.maximum(-v.imag, 0.0))
-        return MeasureOnInterval(tuple(interval), np.asarray(grid, dtype=float),
-                                 jordan, tuple((float(l), complex(w)) for l, w in atoms),
-                                 density_fn)
+        return MeasureOnInterval(tuple(interval), grid, values,
+                                 tuple((float(l), complex(w)) for l, w in atoms), density_fn)
 
     @staticmethod
     def delta(x: float, interval=None) -> "MeasureOnInterval":
         interval = (x, x) if interval is None else tuple(interval)
-        return MeasureOnInterval(interval, np.array([]),
-                                 (np.array([]),) * 4, ((float(x), 1.0 + 0.0j),))
+        return MeasureOnInterval(interval, np.array([]), np.array([]), ((float(x), 1.0 + 0.0j),))
 
     @staticmethod
     def lebesgue(interval) -> "MeasureOnInterval":
@@ -432,14 +426,8 @@ class MeasureOnInterval:
         return MeasureOnInterval.from_density(interval, grid, np.full_like(grid, 1.0 / (hi - lo)))
 
     @property
-    def density(self) -> np.ndarray:
-        rp, rm, ip, im = self.jordan
-        return (rp - rm) + 1j * (ip - im)
-
-    @property
     def is_complex(self) -> bool:
-        _, _, ip, im = self.jordan
-        return bool(len(ip)) and bool(np.max(ip + im) > 1e-15) or \
+        return bool(np.max(np.abs(self.density.imag), initial=0.0) > 1e-15) or \
             any(abs(w.imag) > 1e-15 for _, w in self.atoms)
 
     def total_mass(self) -> complex:
@@ -549,24 +537,26 @@ TRIANGLE_DESCRIPTOR = EllipticDescriptor(
 
 @dataclass(frozen=True)
 class PdKernel:
-    """Continuous p.d. function on (-a, a), F(0) = 1 for built-ins.
+    """Real, even, continuous p.d. function on (-a, a), F(0) = 1 for built-ins.
 
-    ``evaluate``/``derivative`` are vectorized on [-a, a]; the derivative is
-    two-sided away from 0 with the one-sided limits at 0 recorded separately.
+    ``evaluate``/``derivative`` are vectorized on [0, a]; ``__call__`` and
+    ``deriv`` alone extend them to [-a, a], as evaluate(|x|) and
+    sign(x) derivative(|x|), so every kernel is exactly even.  The one-sided
+    limits of F' at 0 are recorded separately.
 
     The built-in factories attach the structure their kernel has:
     ``poly_exp = (coeffs, rate)`` when F(t) = e^{-rate |t|} sum_j coeffs[j] |t|^j
     on [-a, a] -- ((1,), 1) for exp, ((1, -1), 0) for the triangle, the exact
-    coefficients with rate 0 for ``bsplinex:k`` with a <= 1 -- from which
-    ``fast_apply(grid, g, m)``, ``poly_exp_kernel_apply`` on that data,
-    returns (T_F g, (T_F g)') on the grid in O(n m); ``descriptor`` is the
-    elliptic operator T_F^{-1} extends; ``spectrum`` is the transcendental
-    equation of the Mercer eigenvalues.  Without ``poly_exp``, consumers
-    apply T_F by FFT convolution on a uniform grid (``convolution_apply``);
-    without a descriptor or spectrum they raise DomainError.  ``knots`` are
-    the offsets t in (0, a], besides the kink at 0, where F'' jumps (the x
-    nodes of a table, the integer knots of ``bsplinex:k``); the quadrature
-    oracle ``mercer.apply_operator`` splits its integrals there.
+    coefficients with rate 0 for ``bsplinex:k`` with a <= 1 -- which
+    ``smooth`` and the other apply callers in ``rkhs`` pass to
+    ``poly_exp_kernel_apply`` for (T_F g, (T_F g)') on the grid in O(n m),
+    and FFT convolution (``convolution_apply``) without it; ``descriptor``
+    is the elliptic operator T_F^{-1} extends; ``spectrum`` is the
+    transcendental equation of the Mercer eigenvalues (consumers raise
+    DomainError without them).  ``knots`` are the offsets t in (0, a],
+    besides the kink at 0, where F'' jumps (the x nodes of a table, the
+    integer knots of ``bsplinex:k``); the quadrature oracle
+    ``mercer.apply_operator`` splits its integrals there.
     """
 
     family: str
@@ -580,25 +570,19 @@ class PdKernel:
     spectrum: Optional[TranscendentalSpec] = None
     knots: tuple[float, ...] = ()
 
-    @property
-    def fast_apply(self) -> Optional[Callable]:
-        if self.poly_exp is not None:
-            return lambda grid, g, m=GL_POINTS: poly_exp_kernel_apply(*self.poly_exp, grid, g, m)
-
-    def _check_domain(self, x):
-        if np.any(np.abs(x) > self.half_width * (1 + 1e-12)):
+    def _abs(self, x):
+        """min(|x|, a) for x in [-a, a] (up to 1e-12 relative), else DomainError."""
+        t = np.abs(np.asarray(x, dtype=float))
+        if np.any(t > self.half_width * (1 + 1e-12)):
             raise DomainError(
                 f"|x| > {self.half_width} outside the domain of kernel '{self.family}'")
+        return np.minimum(t, self.half_width)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        self._check_domain(x)
-        return self.evaluate(np.clip(x, -self.half_width, self.half_width))
+        return self.evaluate(self._abs(x))
 
     def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        self._check_domain(x)
-        return self.derivative(np.clip(x, -self.half_width, self.half_width))
+        return np.sign(x) * self.derivative(self._abs(x))
 
 
 def _cauchy_measure() -> SpectralMeasure:
@@ -613,8 +597,8 @@ def exp_kernel() -> PdKernel:
     """F(x) = e^{-|x|} on (-1, 1); Bochner dual of the Cauchy density."""
     return PdKernel(
         family="exp", half_width=1.0,
-        evaluate=lambda x: np.exp(-np.abs(x)),
-        derivative=lambda x: -np.sign(x) * np.exp(-np.abs(x)),
+        evaluate=lambda x: np.exp(-x),
+        derivative=lambda x: -np.exp(-x),
         deriv_at_zero=(1.0, -1.0),
         measure=_cauchy_measure(),
         poly_exp=((1.0,), 1.0),
@@ -632,8 +616,8 @@ def triangle_kernel() -> PdKernel:
     meas = SpectralMeasure(grid, np.sinc(grid / (2.0 * np.pi)) ** 2 / (2.0 * np.pi), tail=tail)
     return PdKernel(
         family="triangle", half_width=0.5,
-        evaluate=lambda x: 1.0 - np.abs(x),
-        derivative=lambda x: -np.sign(x) * np.ones_like(np.asarray(x, dtype=float)),
+        evaluate=lambda x: 1.0 - x,
+        derivative=lambda x: -np.ones_like(x),
         deriv_at_zero=(1.0, -1.0),
         measure=meas,
         poly_exp=((1.0, -1.0), 0.0),
@@ -663,7 +647,6 @@ def bspline_kernel(k: int, half_width: float = 1.0) -> PdKernel:
         return np.sinc(x) ** k
 
     def dv(x):
-        x = np.asarray(x, dtype=float)
         s = np.sinc(x)
         u = np.pi * x
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -713,11 +696,10 @@ def bspline_x_kernel(k: int, half_width: float = 0.5) -> PdKernel:
                            tail=TailDescriptor.from_terms(terms))
 
     def ev(x):
-        return bspline_autoconvolution(k, np.asarray(x, dtype=float)) / b0
+        return bspline_autoconvolution(k, x) / b0
 
     def dv(x):
         # (B^{*k})' = B^{*(k-1)}(x + 1/2) - B^{*(k-1)}(x - 1/2)
-        x = np.asarray(x, dtype=float)
         return (bspline_autoconvolution(k - 1, x + 0.5)
                 - bspline_autoconvolution(k - 1, x - 0.5)) / b0
 
@@ -747,16 +729,7 @@ def tabulated_kernel(x: Sequence[float], F: Sequence[float],
     from scipy.interpolate import CubicHermiteSpline
     a = float(x[-1])
     spl = CubicHermiteSpline(x, F, dF)
-    dspl = spl.derivative()
-
-    def ev(t):
-        return spl(np.abs(t))
-
-    def dv(t):
-        t = np.asarray(t, dtype=float)
-        return np.sign(t) * dspl(np.abs(t))
-
-    return PdKernel(family="table", half_width=a, evaluate=ev, derivative=dv,
+    return PdKernel(family="table", half_width=a, evaluate=spl, derivative=spl.derivative(),
                     deriv_at_zero=(-float(dF[0]), float(dF[0])),
                     knots=tuple(x[1:].tolist()))
 

@@ -241,7 +241,7 @@ def apply_operator(kernel: PdKernel, f: Callable, xs) -> np.ndarray:
     knots = np.asarray(kernel.knots, dtype=float)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     kernel(np.concatenate([xs, xs - a]))      # DomainError if some x - y leaves [-a, a]
-    F = kernel.evaluate
+    F = lambda t: kernel.evaluate(np.abs(t))
     out = np.empty(len(xs), dtype=complex)
     for i, x in enumerate(xs):
         pts = np.concatenate([[x], x - knots, x + knots])

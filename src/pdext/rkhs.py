@@ -5,7 +5,8 @@ Three element representations:
 * ``KernelCombo``  -- finite combinations sum_j c_j F(. - x_j); inner products
                       are exact kernel evaluations.
 * ``Smoothed``     -- a test function phi on (0, a); the element is the
-                      integral transform F_phi = T_F phi.
+                      integral transform F_phi = T_F phi; calling it
+                      evaluates phi (``fn``, else its samples interpolated).
 * ``Sampled``      -- values and derivative values on a uniform grid of [0, a]
                       plus boundary data, optionally backed by callables for
                       high-order quadrature.
@@ -26,8 +27,8 @@ import numpy as np
 
 from .kernels import (EXP_DESCRIPTOR, MEASURE_GRID_POINTS, DomainError,
                       MeasureOnInterval, PdKernel, descriptor_for_kernel, simpson_grid)
-from .quadrature import (_BLOCK_ENTRIES, GL_POINTS, UNIT_PANELS, convolution_apply,
-                         gl_rule, integrate, simpson, split_panel_nodes)
+from .quadrature import (_BLOCK_ENTRIES, GL_POINTS, UNIT_PANELS, convolution_apply, gl_rule,
+                         integrate, poly_exp_kernel_apply, simpson, split_panel_nodes)
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,11 @@ class Smoothed:
         object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values))
 
-    def callable(self):
+    def __call__(self, t):
         if self.fn is not None:
-            return self.fn
+            return self.fn(t)
         g, v = self.grid, self.values
-        return lambda t: np.interp(t, g, v.real) + (
+        return np.interp(t, g, v.real) + (
             1j * np.interp(t, g, v.imag) if np.iscomplexobj(v) else 0.0)
 
 
@@ -243,7 +244,7 @@ def _l2_pair(h: Sampled, k: Sampled, use_deriv: bool) -> complex:
 def _check_unit_sobolev(*els: Sampled):
     """The exp kernel's Sobolev form needs derivative samples on [0, 1]."""
     if any(el.dvalues is None for el in els):
-        raise ValueError("exp_inner_product requires derivative samples")
+        raise DomainError("exp_inner_product requires derivative samples")
     if any(abs(el.grid[-1] - 1.0) > 1e-12 for el in els):
         raise DomainError("exp_inner_product is defined on [0, 1]")
 
@@ -298,11 +299,11 @@ def exp_basis_coefficients(h: Sampled, lambdas: Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _apply(kernel: PdKernel, grid, g, deriv: bool = True):
-    """(T_F g, (T_F g)') on the grid: the kernel's fast apply when attached,
-    else FFT convolution on the uniform grid (the derivative only when asked
-    for)."""
-    if kernel.fast_apply is not None:
-        return kernel.fast_apply(grid, g, m=GL_POINTS)
+    """(T_F g, (T_F g)') on the grid: the O(n) prefix-moment apply of the
+    kernel's ``poly_exp`` when attached, else FFT convolution on the uniform
+    grid (the derivative only when asked for)."""
+    if kernel.poly_exp is not None:
+        return poly_exp_kernel_apply(*kernel.poly_exp, grid, g, GL_POINTS)
     return convolution_apply(kernel, kernel.deriv if deriv else None, grid, g, GL_POINTS)
 
 
@@ -312,12 +313,7 @@ def smooth(phi, kernel: PdKernel, n: int = 2000) -> Sampled:
     quadrature.  phi must vanish at the interval endpoints."""
     a = kernel.half_width
     grid = np.linspace(0.0, a, n + 1)
-    if isinstance(phi, Smoothed):
-        phi_fn = phi.callable()
-    elif callable(phi):
-        phi_fn = phi
-    else:
-        phi_fn = Smoothed(*phi).callable()
+    phi_fn = phi if callable(phi) else Smoothed(*phi)
     ends = np.max(np.abs(np.asarray([phi_fn(np.array([0.0]))[0],
                                      phi_fn(np.array([a]))[0]])))
     probe = np.max(np.abs(phi_fn(np.linspace(0, a, 257))))
@@ -333,8 +329,8 @@ def inner_product_smoothed(phi, psi, kernel: PdKernel, n: int = 2000) -> complex
     evaluated as int conj(phi) (T_F psi) with the kink-split inner transform."""
     a = kernel.half_width
     grid = np.linspace(0.0, a, n + 1)
-    phi_fn = phi if callable(phi) else Smoothed(*phi).callable()
-    psi_fn = psi if callable(psi) else Smoothed(*psi).callable()
+    phi_fn = phi if callable(phi) else Smoothed(*phi)
+    psi_fn = psi if callable(psi) else Smoothed(*psi)
     tpsi, _ = _apply(kernel, grid, psi_fn, deriv=False)
     return complex(simpson(np.conj(phi_fn(grid)) * tpsi, grid))
 
@@ -345,8 +341,7 @@ def reproducing_eval(xi: RkhsElement, x: float, kernel: PdKernel) -> complex:
     if isinstance(xi, KernelCombo):
         return complex(combo_eval([xi], kernel, x)[0, 0])
     if isinstance(xi, Smoothed):
-        fn = xi.callable()
-        return complex(integrate(lambda y: fn(y) * kernel(x - y), 0.0, kernel.half_width,
+        return complex(integrate(lambda y: xi(y) * kernel(x - y), 0.0, kernel.half_width,
                                  2000, GL_POINTS, split_points=(x,)))
     return complex(xi.interpolator()(x))
 
@@ -377,7 +372,7 @@ def membership_test(h: Callable, kernel: PdKernel, basis_size: int,
         dec = _mercer.discretize(kernel, _mercer.NystromConfig(
             node_count=max(256, 2 * basis_size)))
     if basis_size > dec.rank:
-        raise ValueError(f"basis_size {basis_size} exceeds Mercer rank {dec.rank}")
+        raise DomainError(f"basis_size {basis_size} exceeds Mercer rank {dec.rank}")
     hv = h(dec.nodes) if callable(h) else np.asarray(h)
     sizes = [max(2, basis_size // 4), max(3, basis_size // 2), basis_size]
     ests = [_mercer.hf_inner_via_inverse(hv, hv, dec, m).real for m in sizes]

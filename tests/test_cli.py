@@ -207,6 +207,14 @@ class TestConcentrationCmd:
         assert float(q) == pytest.approx(2 / math.e, abs=1e-7)
         assert float(d) == pytest.approx(1 - math.log(2), abs=1e-7)
 
+    def test_density_off_the_grid_is_a_domain_error(self, tmp_path, capsys):
+        mfile = tmp_path / "mu.json"
+        mfile.write_text(json.dumps({"interval": [0, 1], "grid": [0.0, 0.5, 1.0],
+                                     "density_re": [1.0, 1.0], "density_im": [0.0, 0.0],
+                                     "atoms": []}))
+        assert run(["concentration", "--measure", str(mfile)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
+
 
 class TestSampleCmd:
     def test_sampling_matches_volterra(self, tmp_path):
@@ -229,6 +237,11 @@ class TestIsometryCmd:
         payload = json.loads(out.read_text())
         assert payload["passed"] and payload["max_gap"] < 1e-6
 
+    def test_bad_point_token_is_named(self, capsys):
+        assert run(["isometry", "--points", "0,abc"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "DomainError" and "'abc'" in payload["detail"]
+
 
 class TestContract:
     def test_byte_identical_reruns(self, tmp_path):
@@ -249,7 +262,9 @@ class TestContract:
                                       ["isometry", "--tol", "nan"],
                                       ["isometry", "--points", "0,nan"],
                                       ["isometry", "--points", "0,0.5,nan"],
-                                      ["mercer", "--nodes", "16", "--n", "40"]])
+                                      ["mercer", "--nodes", "16", "--n", "40"],
+                                      ["onb", "--depth", "-1"], ["extend", "--points", "0"],
+                                      ["sample", "--points", "0"], ["isometry", "--trials", "0"]])
     def test_domain_error_on_bad_arguments(self, args, capsys):
         assert run(args) == 1
         assert json.loads(capsys.readouterr().out)["error"] == "DomainError"

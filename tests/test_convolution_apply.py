@@ -94,7 +94,7 @@ def test_non_uniform_grid_is_refused(grid):
 
 def test_smooth_without_poly_exp_matches_adaptive_quadrature():
     kernel = bspline_kernel(4)
-    assert kernel.fast_apply is None
+    assert kernel.poly_exp is None
     phi = lambda y: y * (1.0 - y) * np.cos(3.0 * y + 0.2)
     el = smooth(phi, kernel, n=2000)
     idx = [0, 1, 417, 1000, 1733, 2000]

@@ -179,6 +179,11 @@ class TestEllipticity:
         rep = ellipticity_check(kexp, d, samples, m=150)
         assert num / den <= max(rep.constant, 1.0) + 0.1
 
+    def test_rank_2m_above_the_decomposition_is_a_domain_error(self, kexp, dec_exp_400):
+        samples = [smooth(mollifier(0.5, 0.3)[0], kexp, n=400)]
+        with pytest.raises(DomainError, match="rank"):
+            ellipticity_check(kexp, dec_exp_400, samples, m=dec_exp_400.rank // 2 + 1)
+
     def test_descriptors_nonnegative(self, kexp, ktri):
         assert descriptor_for_kernel(kexp).is_nonnegative()
         assert descriptor_for_kernel(ktri).is_nonnegative()

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 from pdext import (DomainError, MeasureOnInterval, SpectralMeasure, bspline_kernel,
                    bspline_x_kernel, concentration, kernel_from_name, tabulated_kernel)
-from pdext import extensions, quadrature
+from pdext import extensions, quadrature, rkhs
 from pdext.elliptic import mollifier
 from pdext.kernels import TRIANGLE_DESCRIPTOR, bspline_x_poly_coeffs
 from pdext.mercer import apply_operator
@@ -47,7 +47,7 @@ def kernel_by_case(case):
 def test_fast_apply_matches_adaptive_quadrature(name):
     kernel = kernel_from_name(name)
     grid = np.linspace(0.0, kernel.half_width, 2001)
-    values, _ = kernel.fast_apply(grid, smooth_g, m=6)
+    values, _ = poly_exp_kernel_apply(*kernel.poly_exp, grid, smooth_g, m=6)
     idx = [0, 1, 333, 1000, 1700, 2000]
     assert np.max(np.abs(values[idx] - apply_operator(kernel, smooth_g, grid[idx]))) < 1e-13
 
@@ -56,7 +56,7 @@ def test_fast_apply_matches_adaptive_quadrature(name):
 def test_fast_derivative_matches_dense(name):
     kernel = kernel_from_name(name)
     grid = np.linspace(0.0, kernel.half_width, 401)
-    _, dvalues = kernel.fast_apply(grid, smooth_g, m=6)
+    _, dvalues = poly_exp_kernel_apply(*kernel.poly_exp, grid, smooth_g, m=6)
     assert np.max(np.abs(dvalues - kernel_apply_on_grid(kernel.deriv, grid, smooth_g, m=6))) < 1e-12
 
 
@@ -66,7 +66,7 @@ def test_bsplinex_fast_apply_holds_up_to_the_first_knot():
     kernel = bspline_x_kernel(4, half_width=0.6)
     grid = np.linspace(0.0, 0.6, 301)
     g = lambda y: smooth_g(y) * np.exp(2j * y)
-    values, dvalues = kernel.fast_apply(grid, g, m=6)
+    values, dvalues = poly_exp_kernel_apply(*kernel.poly_exp, grid, g, m=6)
     assert np.max(np.abs(values - kernel_apply_on_grid(kernel, grid, g, m=6))) < 1e-13
     assert np.max(np.abs(dvalues - kernel_apply_on_grid(kernel.deriv, grid, g, m=6))) < 1e-12
 
@@ -138,7 +138,7 @@ def test_fast_apply_is_the_prefix_moment_apply_of_poly_exp(name, poly_exp):
     assert kernel.poly_exp == poly_exp
     grid = np.linspace(0.0, kernel.half_width, 101)
     want = poly_exp_kernel_apply(*poly_exp, grid, smooth_g)
-    for got, w in zip(kernel.fast_apply(grid, smooth_g), want):
+    for got, w in zip(rkhs._apply(kernel, grid, smooth_g), want):
         np.testing.assert_array_equal(got, w)
 
 
@@ -178,7 +178,7 @@ def test_smooth_meets_the_triangle_boundary_rows(name):
 
 @pytest.mark.parametrize("case", [("bsplinex:4", 1.2), ("bspline:4", None), ("table", None)])
 def test_kernels_without_polynomial_structure_have_no_fast_apply(case):
-    assert kernel_by_case(case).fast_apply is None
+    assert kernel_by_case(case).poly_exp is None
 
 
 def test_bsplinex_derivative_is_exact():

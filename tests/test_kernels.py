@@ -34,6 +34,20 @@ class TestEvaluate:
             x = np.linspace(-ker.half_width, ker.half_width, 401)
             assert np.max(np.abs(ker(-x) - np.conj(ker(x)))) < 1e-14
 
+    @pytest.mark.parametrize("name", ["exp", "triangle", "bspline:4", "bsplinex:2",
+                                      "bsplinex:4", "bsplinex:6", "table"])
+    def test_exactly_even(self, name):
+        # F(-x) = F(x) and F'(-x) = -F'(x) bit for bit: evenness is applied
+        # once, by __call__ and deriv, for every factory
+        if name == "table":
+            t = np.linspace(0.0, 0.5, 257)
+            ker = tabulated_kernel(t, np.exp(-3 * t ** 2), -6 * t * np.exp(-3 * t ** 2))
+        else:
+            ker = kernel_from_name(name)
+        x = np.random.default_rng(3).uniform(0.0, ker.half_width, 1000)
+        np.testing.assert_array_equal(ker(-x), ker(x))
+        np.testing.assert_array_equal(ker.deriv(-x), -ker.deriv(x))
+
 
 class TestGram:
     def test_two_points(self, kexp):
@@ -138,6 +152,13 @@ class TestBochner:
         for x in xs:
             assert abs(bochner_transform(ker.measure, x) - complex(ker(x))) < tol
 
+    @pytest.mark.parametrize("density,atoms", [(np.ones(4), ()), (-np.ones(5), ()),
+                                               (np.ones(5), ((1.0, 0.0),))])
+    def test_malformed_measure_is_a_domain_error(self, density, atoms):
+        # shape, negative density, atom weight
+        with pytest.raises(DomainError):
+            SpectralMeasure(np.linspace(-1.0, 1.0, 5), density, atoms=atoms)
+
 
 class TestSecondMoment:
     def test_cauchy_divergent(self, kexp):
@@ -209,7 +230,7 @@ class TestConcentration:
         assert d == pytest.approx(1.0 - math.log(2.0), abs=1e-8)
 
     def test_two_atoms(self):
-        mu = MeasureOnInterval((0.0, 1.0), np.array([]), (np.array([]),) * 4,
+        mu = MeasureOnInterval((0.0, 1.0), np.array([]), np.array([]),
                                ((0.0, 0.5 + 0j), (1.0, 0.5 + 0j)))
         q, _ = concentration(mu)
         # exact 2x2 sum: 2 (1/4) + 2 (1/4) e^{-1}
@@ -228,6 +249,13 @@ class TestSerialization:
         assert np.allclose(back.grid, kexp.measure.grid)
         assert np.allclose(back.density, kexp.measure.density)
         assert back.tail.exponent == 2.0
+
+    def test_interval_density_off_the_grid_shape_is_refused(self):
+        with pytest.raises(DomainError, match="shape"):
+            MeasureOnInterval((0.0, 1.0), np.linspace(0.0, 1.0, 5), np.ones(4))
+        with pytest.raises(DomainError):
+            MeasureOnInterval.from_json(json.dumps({"interval": [0, 1], "grid": [0, 0.5, 1],
+                                                    "density_re": [1.0, 1.0]}))
 
     def test_interval_measure_roundtrip(self):
         mu = MeasureOnInterval.from_density(

@@ -5,7 +5,7 @@ import pytest
 
 from pdext import DomainError, MeasureOnInterval
 from pdext.elliptic import mollifier
-from pdext.rkhs import (KernelCombo, Sampled, complex_exponential,
+from pdext.rkhs import (KernelCombo, Sampled, Smoothed, complex_exponential,
                         e_lambda_measure, element_from_json,
                         element_from_measure, element_measure_expansion,
                         element_to_json, exp_inner_product, exp_norm_sq,
@@ -142,6 +142,20 @@ class TestSmoothedInnerProduct:
             vals.append(abs(v - math.exp(-abs(x0 - y0))))
         assert vals[1] < vals[0] and vals[1] < 5e-3
 
+    def test_smoothed_arguments_are_their_callables(self, kexp):
+        f, _, _ = mollifier(0.35, 0.2)
+        g, _, _ = mollifier(0.6, 0.25)
+        grid = np.linspace(0.0, 1.0, 1001)
+        want = inner_product_smoothed(f, g, kexp, n=400)
+        got = inner_product_smoothed(Smoothed(grid, f(grid), fn=f), Smoothed(grid, g(grid), fn=g),
+                                     kexp, n=400)
+        assert got == want
+        fs, gs = f(grid), g(grid)
+        want = inner_product_smoothed(lambda t: np.interp(t, grid, fs),
+                                      lambda t: np.interp(t, grid, gs), kexp, n=400)
+        assert inner_product_smoothed(Smoothed(grid, fs), Smoothed(grid, gs), kexp, n=400) == want
+        assert inner_product_smoothed((grid, fs), (grid, gs), kexp, n=400) == want
+
 
 class TestReproducingEval:
     def test_combo(self, kexp, rng):
@@ -236,6 +250,10 @@ class TestMembership:
 
     def test_basis_size_validation(self, kexp, dec_exp_400):
         with pytest.raises(ValueError):
+            membership_test(np.exp, kexp, dec_exp_400.rank + 1, dec_exp_400)
+
+    def test_basis_size_above_the_rank_is_a_domain_error(self, kexp, dec_exp_400):
+        with pytest.raises(DomainError, match="rank"):
             membership_test(np.exp, kexp, dec_exp_400.rank + 1, dec_exp_400)
 
 
@@ -363,6 +381,16 @@ class TestMissingDerivative:
         el = Sampled(grid, vals, None, BoundaryData(1.0, -1.0, vals[-1], -vals[-1]))
         with pytest.raises(ValueError, match="derivative"):
             exp_inner_product(el, el)
+
+    def test_missing_derivatives_are_a_domain_error(self):
+        from pdext.rkhs import BoundaryData, exp_basis_coefficients
+        grid = np.linspace(0, 1, 101)
+        vals = np.exp(-grid)
+        el = Sampled(grid, vals, None, BoundaryData(1.0, -1.0, vals[-1], -vals[-1]))
+        with pytest.raises(DomainError, match="derivative"):
+            exp_inner_product(el, el)
+        with pytest.raises(DomainError, match="derivative"):
+            exp_basis_coefficients(el, [0.5])
 
     def test_interpolator_falls_back_to_differences(self):
         from pdext.rkhs import BoundaryData
