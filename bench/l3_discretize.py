@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Layer L3: the Nystrom spectrum of T_F, the eigenvalue-only even/odd split
-of ``mercer.discretize`` and the first access to its eigenfunctions, against
-dense ``eigvalsh`` and ``eigh`` of the same Toeplitz matrix.
+"""Layer L3: the Nystrom spectrum of T_F from ``mercer.discretize`` and the
+first access to its eigenfunctions, against dense ``eigvalsh`` and ``eigh``
+of the same Toeplitz matrix.  exp and the triangle take their eigenvalues
+from the discrete boundary equation of each even/odd block and run no
+``eigvalsh``; ``bspline:4`` and the table run ``eigvalsh`` on the blocks.
 
 Run from the repository root:
 
@@ -11,8 +13,8 @@ Run from the repository root:
 
 Kernels: exp, triangle, ``bspline:4`` and the Gaussian-mixture table of the
 benchmark's ``generic`` workload at seed 1.  For each kernel and n it
-records the median wall time of ``discretize`` (kernel row, ``eigvalsh`` on
-both blocks, merge), of the first ``eigenfunctions`` access on that result
+records the median wall time of ``discretize`` (kernel row, the eigenvalues
+of both blocks, merge), of the first ``eigenfunctions`` access on that result
 (``eigh`` on both blocks, columns written in place), and of
 ``np.linalg.eigvalsh`` and ``np.linalg.eigh`` on the strided Toeplitz view
 ``discretize`` starts from; max |lam - lam_dense| / lam_0 against dense
@@ -160,8 +162,10 @@ def main(argv=None) -> int:
                   f"peak {c['peak_n2_doubles']:.2f} + {c['eigenfunctions_peak_n2_doubles']:.2f} n^2",
                   file=sys.stderr)
     payload = {
-        "layer": "L3", "what": "Nystrom spectrum: discretize (eigvalsh on the even/odd split) and "
-                               "the first eigenfunctions access (eigh on the split) vs "
+        "layer": "L3", "what": "Nystrom spectrum: discretize (the boundary equation of each "
+                               "even/odd block for exp and the triangle, eigvalsh on the "
+                               "blocks otherwise) and the first eigenfunctions access "
+                               "(eigh on the split) vs "
                                "np.linalg.eigvalsh and eigh of the same symmetric Toeplitz matrix",
         "command": "PYTHONPATH=src python bench/l3_discretize.py " + " ".join(argv or sys.argv[1:]),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),

@@ -33,29 +33,8 @@ from .kernels import (DomainError, EllipticDescriptor, PdKernel,  # noqa: F401
                       descriptor_for_kernel, exp_bvp_spec, spec_for_kernel,
                       triangle_bvp_spec)
 from .mercer import MercerDecomposition, hf_inner_via_inverse
-from .quadrature import panel_nodes, simpson
-
-
-def bracketed_roots(f, lo, hi) -> np.ndarray:
-    """One root of a vectorized ``f`` in each bracket [lo_i, hi_i] across
-    which it changes sign.  Every bracket is bisected at once until its ends
-    are adjacent floats; the end with the smaller |f| is returned."""
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    flo, fhi = np.asarray(f(lo)), np.asarray(f(hi))
-    if np.any(np.sign(flo) * np.sign(fhi) > 0.0):
-        raise DomainError("f does not change sign across every bracket")
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = (lo < mid) & (mid < hi)
-        if not live.any():
-            break
-        fmid = np.asarray(f(mid))
-        # fmid == 0 moves hi onto that exact root, and the final pick keeps it
-        right = live & (np.sign(fmid) == np.sign(flo))
-        left = live & ~right
-        lo, flo = np.where(right, mid, lo), np.where(right, fmid, flo)
-        hi, fhi = np.where(left, mid, hi), np.where(left, fmid, fhi)
-    return np.where(np.abs(fhi) < np.abs(flo), hi, lo)
+# bracketed_roots lives in quadrature, which mercer also uses; re-exported here
+from .quadrature import bracketed_roots, panel_nodes, simpson  # noqa: F401
 
 
 def solve_transcendental(spec: TranscendentalSpec, count: int) -> np.ndarray:
@@ -133,11 +112,14 @@ def verify_against_mercer(spec: TranscendentalSpec, dec: MercerDecomposition,
 
 def mollifier(center: float, width: float):
     """C_c^infty bump exp(-1/(1-u^2)) on |u| < 1, u = (x-center)/width,
-    with analytic first and second derivatives.  A center or width that is
-    not finite, or a width <= 0, raises DomainError."""
-    if not (np.isfinite(center) and np.isfinite(width) and width > 0):
-        raise DomainError(f"mollifier needs a finite center and a finite width > 0, "
-                          f"got center {center!r}, width {width!r}")
+    with analytic first and second derivatives.  A center that is not
+    finite, a width <= 0, or a width whose square is not a finite normal
+    float (the second derivative divides by it) raises DomainError."""
+    square = float(width) * float(width)
+    if not (np.isfinite(center) and width > 0 and np.isfinite(square)
+            and square >= np.finfo(float).tiny):
+        raise DomainError(f"mollifier needs a finite center and a width > 0 whose square "
+                          f"is a finite normal float, got center {center!r}, width {width!r}")
 
     def parts(x):
         u = (np.asarray(x, dtype=float) - center) / width

@@ -450,12 +450,14 @@ class MeasureOnInterval:
     @staticmethod
     def from_json(text: str) -> "MeasureOnInterval":
         d = json.loads(text)
-        vals = np.asarray(d.get("density_re", []), dtype=float) + \
-            1j * np.asarray(d.get("density_im", np.zeros(len(d.get("density_re", [])))), dtype=float)
+        grid = np.asarray(d.get("grid", []), dtype=float)
+        re = np.asarray(d.get("density_re", []), dtype=float)
+        im = np.asarray(d.get("density_im", np.zeros_like(re)), dtype=float)
+        if re.shape != grid.shape or im.shape != grid.shape:
+            raise DomainError(f"density_re of shape {re.shape} and density_im of shape "
+                              f"{im.shape} on a grid of shape {grid.shape}")
         atoms = [(a[0], complex(a[1], a[2] if len(a) > 2 else 0.0)) for a in d.get("atoms", [])]
-        return MeasureOnInterval.from_density(tuple(d["interval"]),
-                                              np.asarray(d.get("grid", []), dtype=float),
-                                              vals, atoms)
+        return MeasureOnInterval.from_density(tuple(d["interval"]), grid, re + 1j * im, atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,29 @@ def simpson(values: np.ndarray, grid: np.ndarray):
     return head + 0.5 * h * (values[..., -2] + values[..., -1])
 
 
+def bracketed_roots(f, lo, hi) -> np.ndarray:
+    """One root of a vectorized ``f`` in each bracket [lo_i, hi_i] across
+    which it changes sign.  Every bracket is bisected at once until its ends
+    are adjacent floats; the end with the smaller |f| is returned."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    flo, fhi = np.asarray(f(lo)), np.asarray(f(hi))
+    if np.any(np.sign(flo) * np.sign(fhi) > 0.0):
+        from .kernels import DomainError   # kernels imports this module
+        raise DomainError("f does not change sign across every bracket")
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        fmid = np.asarray(f(mid))
+        # fmid == 0 moves hi onto that exact root, and the final pick keeps it
+        right = live & (np.sign(fmid) == np.sign(flo))
+        left = live & ~right
+        lo, flo = np.where(right, mid, lo), np.where(right, fmid, flo)
+        hi, fhi = np.where(left, mid, hi), np.where(left, fmid, fhi)
+    return np.where(np.abs(fhi) < np.abs(flo), hi, lo)
+
+
 def cell_gl_layout(grid: np.ndarray, m: int = 4):
     """Per-cell GL nodes/weights for a uniform grid of cell boundaries.
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,14 @@ class TestConcentrationCmd:
         assert run(["concentration", "--measure", str(mfile)]) == 1
         assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
 
+    def test_density_parts_of_unequal_length_are_a_domain_error(self, tmp_path, capsys):
+        mfile = tmp_path / "mu.json"
+        mfile.write_text(json.dumps({"interval": [0, 1], "grid": [0.0, 0.5, 1.0],
+                                     "density_re": [1.0, 1.0, 1.0], "density_im": [0.0, 0.0],
+                                     "atoms": []}))
+        assert run(["concentration", "--measure", str(mfile)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
+
 
 class TestSampleCmd:
     def test_sampling_matches_volterra(self, tmp_path):
@@ -227,6 +236,14 @@ class TestSampleCmd:
     @pytest.mark.parametrize("width", ["nan", "0", "-0.3", "inf"])
     def test_bad_width_is_refused(self, width, capsys):
         assert run(["sample", "--width", width]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("width", ["1e308", "1e-320"])
+    def test_width_whose_square_is_not_normal_is_refused(self, width, capsys):
+        # 1e308 ** 2 overflowed; 1e-320 ** 2 is 0, and the bump divided by it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sample", "--width", width]) == 1
         assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
 
 
