@@ -104,6 +104,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    # Python floats: a sum or product past the largest double is inf, not a warning
+    if not np.isfinite(args.xmax - args.xmin):
+        raise kernels.DomainError(f"[{args.xmin}, {args.xmax}] is wider than the largest double")
     xs = np.linspace(args.xmin, args.xmax, args.points)
     if args.r is not None:
         g = extensions.g_r_extension(args.r)
@@ -118,6 +121,8 @@ def cmd_extend(args) -> int:
               {"r": args.r, "mass": mass})
         return 0
     ext = extensions.extend_type1(args.theta, args.n)
+    if not np.isfinite(float(np.max(np.abs(ext.lambdas))) * max(abs(args.xmin), abs(args.xmax))):
+        raise kernels.DomainError(f"lambda x of F_theta overflows on [{args.xmin}, {args.xmax}]")
     vals = ext(xs)
     err = [float(abs(v - np.exp(-abs(x)))) if abs(x) < 1.0 else float("nan")
            for x, v in zip(xs, vals)]
@@ -199,6 +204,8 @@ def cmd_concentration(args) -> int:
 def cmd_sample(args) -> int:
     ext = extensions.extend_type1(args.theta, args.n)
     f, _, _ = elliptic.mollifier(args.center, args.width)
+    if args.center + args.width <= 0.0 or args.center - args.width >= 1.0:
+        raise kernels.DomainError(f"the bump at {args.center} of width {args.width} misses (0, 1)")
     xs = np.linspace(0.05, 0.95, args.points)
     _, volt = mercer.volterra_apply(f, grid=xs)
     sv = extensions.sample_via_spectrum(f, ext, xs)

@@ -1,23 +1,17 @@
-"""Elliptic-operator view of T_F^{-1} and the transcendental spectra.
+"""Elliptic-operator view of T_F^{-1} and the Mercer roots.
 
 The inverse Mercer operator extends a constant-coefficient second order
-operator with kernel-determined boundary conditions:
+operator with kernel-determined boundary conditions.  The paper's root
+equations, which ``solve_transcendental`` checks the roots of
+``kernels.boundary_equation`` at h = 0 against:
 
-* exp kernel:      T_F^{-1} extends (1/2)(I - d^2/dx^2) on (0, 1) with
-                   h(0) = h'(0), h(1) = -h'(1); eigenvalues come from
-                   tan k = 2k/(k^2 - 1) with k^2 = 2 lam_D - 1 > 1, and the
-                   Mercer eigenvalue is 2/(1 + k^2).
-* triangle kernel: T_F^{-1} extends -(1/2) d^2/dx^2 on (0, 1/2) with
-                   h'(0) + h'(1/2) = 0 and h(0) + h(1/2) = (3/2) h'(0).
-                   Setting the boundary determinant to zero gives
-
-                       4 (1 + cos(k/2)) = 3 k sin(k/2)
-
-                   which factors as cos(k/4) [4 cos(k/4) - 3 k sin(k/4)] = 0,
-                   i.e. roots of tan(k/4) = 4/(3k) interleaved with the
-                   cosine family k = 2 pi (2m - 1).  Mercer eigenvalue 2/k^2.
-                   (T_F > 0 forces k^2 = +2/lam; the determinant carries both
-                   factor families, and dropping either breaks the trace sum.)
+* exp: (1/2)(I - d^2/dx^2) on (0, 1), h(0) = h'(0), h(1) = -h'(1);
+  tan k = 2k/(k^2 - 1) with k^2 = 2 lam_D - 1 > 1, Mercer eigenvalue 2/(1 + k^2).
+* triangle: -(1/2) d^2/dx^2 on (0, 1/2), h'(0) + h'(1/2) = 0 and
+  h(0) + h(1/2) = (3/2) h'(0); the boundary determinant
+  4 (1 + cos(k/2)) - 3 k sin(k/2) = 2 cos(k/4) [4 cos(k/4) - 3 k sin(k/4)]
+  carries both root families, tan(k/4) = 4/(3k) and k = 2 pi (2m - 1), and
+  dropping either breaks the trace sum; T_F > 0 forces k^2 = +2/lam.
 """
 
 from __future__ import annotations
@@ -29,44 +23,26 @@ import numpy as np
 
 # the kernel structure lives in kernels; re-exported here for its users
 from .kernels import (DomainError, EllipticDescriptor, PdKernel,  # noqa: F401
-                      TranscendentalSpec, bspline_autoconvolution,
+                      TranscendentalSpec, boundary_equation, bspline_autoconvolution,
                       descriptor_for_kernel, exp_bvp_spec, spec_for_kernel,
                       triangle_bvp_spec)
 from .mercer import MercerDecomposition, hf_inner_via_inverse
-# bracketed_roots lives in quadrature, which mercer also uses; re-exported here
+# bracketed_roots lives in quadrature; re-exported here for its users
 from .quadrature import bracketed_roots, panel_nodes, simpson  # noqa: F401
 
 
 def solve_transcendental(spec: TranscendentalSpec, count: int) -> np.ndarray:
-    """First ``count`` positive roots: a vectorized sign-change scan in steps
-    of 0.01 and blocks of 20000 steps, each block's brackets refined together
-    by ``bracketed_roots``.  Roots that are not simple (|f'| < 1e-8), whose
-    normalized residual exceeds 1e-12, or beyond k = 1e4 raise DomainError."""
+    """First ``count`` positive roots: ``boundary_equation`` at h = 0 for the
+    spec's (poly_exp, a), one root in each bracket [j pi/a, (j + 1) pi/a].
+    A root whose normalized residual in the spec's printed equation exceeds
+    1e-12 raises DomainError."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    roots: list[np.ndarray] = []
-    found = 0
-    f = spec.residual
-    lo = spec.k_min
-    block = 20000
-    while found < count:
-        if lo > 1e4:
-            raise DomainError("root window exhausted")
-        ks = lo + 0.01 * np.arange(block + 1)
-        vals = np.asarray(f(ks))
-        i = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0][:count - found]
-        r = bracketed_roots(f, ks[i], ks[i + 1])
-        h = 1e-6 * np.maximum(1.0, np.abs(r))
-        flat = np.abs(f(r + h) - f(r - h)) / (2 * h) < 1e-8
-        if flat.any():
-            raise DomainError(f"root near k = {r[flat][0]} is not simple")
-        loose = np.abs(spec.normalized_residual(r)) > 1e-12
-        if loose.any():
-            raise DomainError(f"poorly converged root near k = {r[loose][0]}")
-        roots.append(r)
-        found += len(r)
-        lo = ks[-1]
-    return np.concatenate(roots)
+    roots = boundary_equation(*spec.second_order)[0](count)
+    loose = np.abs(spec.normalized_residual(roots)) > 1e-12
+    if loose.any():
+        raise DomainError(f"poorly converged root near k = {roots[loose][0]}")
+    return roots
 
 
 @dataclass(frozen=True)
@@ -89,8 +65,6 @@ def verify_against_mercer(spec: TranscendentalSpec, dec: MercerDecomposition,
         raise DomainError(f"{N} eigenvalues asked of a rank {dec.rank} decomposition")
     roots = solve_transcendental(spec, max(2 * N + 8, 16))
     mapped = spec.mercer_map(roots)
-    order = np.argsort(mapped)[::-1]
-    roots, mapped = roots[order], mapped[order]
     matched, unmatched = [], []
     worst = 0.0
     for i in range(N):
@@ -98,8 +72,7 @@ def verify_against_mercer(spec: TranscendentalSpec, dec: MercerDecomposition,
         j = int(np.argmin(np.abs(mapped - lam)))
         rel = abs(mapped[j] - lam) / lam
         if rel < 1e-3:
-            matched.append((i, float(lam), float(roots[j]), float(mapped[j]),
-                            float(rel)))
+            matched.append((i, float(lam), float(roots[j]), float(mapped[j]), float(rel)))
             worst = max(worst, rel)
         else:
             unmatched.append((i, float(lam)))

@@ -30,9 +30,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .elliptic import bracketed_roots
 from .kernels import (EPS_PSD, DomainError, PdKernel, SpectralMeasure,
                       TailDescriptor, bochner_transform)
+from .quadrature import bracketed_roots
 from .rkhs import (Sampled, e_lambda_weights, exp_basis_coefficients, exp_sum,
                    lattice_fourier, sampled_from_callable)
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import GL_POINTS, exp_kernel_apply, integrate, simpson
+from .quadrature import GL_POINTS, bracketed_roots, exp_kernel_apply, integrate, simpson
 
 EPS_PSD = 1e-9
 
@@ -464,16 +464,85 @@ class MeasureOnInterval:
 # kernel structure: T_F^{-1} as an elliptic operator and its spectrum
 # ---------------------------------------------------------------------------
 
+def boundary_equation(poly_exp, a: float, h: float = 0.0):
+    """The second-order boundary equation of F on (-a, a) with step h: its
+    roots give the n Nystrom eigenvalues at h = a/n (``mercer._boundary_spectrum``)
+    and the Mercer spectrum at h = 0 (``elliptic.solve_transcendental``).
+    None unless ``poly_exp`` is c0 e^{-r|t|} with r, c0 > 0, or c0 + c1 |t|
+    with c0 > 0 > c1 and |c1| a < 2 c0; else ``(roots, eigenvalue)``.
+
+    ``roots(count)`` gives one omega in each bracket [j pi/a, (j + 1) pi/a],
+    j < count: with T = tan(omega h/2)/h, the root of
+
+        omega a/2 - atan2(K_e, T) = k pi   (even block, j = 2k),
+        omega a/2 + atan2(T, K_o) = k pi   (odd block, j = 2k - 1),
+
+    K_e = K_o = tanh(rh/2)/h, or K_e = |c1|/(2 c0 - |c1| a) and K_o = 0, whose
+    odd roots are the left bracket ends.  Each phase rises strictly, so each
+    bracket holds one simple root.  ``eigenvalue`` is
+    lam = s/(g + 4 w sin^2(omega h/2)), s, g and w as in ``_boundary_spectrum``.
+    As h -> 0, T, K_e = K_o and lam become omega/2, r/2 and 2 r c0/(r^2 + omega^2)
+    or 2 |c1|/omega^2.  T is read at omega h/2 <= pi/2, past which the top
+    bracket end may round."""
+    if poly_exp is None:
+        return None
+    coeffs, rate = poly_exp
+    if rate > 0 and len(coeffs) == 1 and coeffs[0] > 0:
+        c0, rh = coeffs[0], rate * h
+        k_even, s, g = ((math.tanh(0.5 * rh) / h, h * c0 * -math.expm1(-2.0 * rh),
+                         math.expm1(-rh) ** 2) if h > 0 else
+                        (0.5 * rate, 2.0 * rate * c0, rate * rate))
+        k_odd, w = k_even, math.exp(-rh)
+    elif rate == 0 and len(coeffs) == 2 and coeffs[0] > 0 > coeffs[1] \
+            and 2.0 * coeffs[0] > -coeffs[1] * a:
+        k_even, k_odd = -coeffs[1] / (2.0 * coeffs[0] + coeffs[1] * a), 0.0
+        s, g, w = -2.0 * coeffs[1] * (h * h if h > 0 else 1.0), 0.0, 1.0
+    else:
+        return None
+    # T and 2 sin(omega h/2), whose limits (as the latter over h) are omega/2 and omega
+    if h > 0:
+        tangent = lambda om: np.tan(np.minimum(0.5 * h * om, 0.5 * np.pi)) / h
+        chord = lambda om: 2.0 * np.sin(0.5 * (om * h))
+    else:
+        tangent, chord = (lambda om: 0.5 * om), (lambda om: om)
+
+    def roots(count: int) -> np.ndarray:
+        j = np.arange(count)
+        omega = np.pi * j / a
+        live = (j % 2 == 0) | (k_odd > 0)
+        j = j[live]
+        odd, k_pi = j % 2 == 1, np.pi * ((j + 1) // 2)
+
+        def phase(om):
+            # atan2(T, K_o) = -atan2(-T, K_o): one atan2 serves both blocks
+            T = tangent(om)
+            y, x = np.where(odd, -T, k_even), np.where(odd, k_odd, T)
+            return 0.5 * a * om - np.arctan2(y, x) - k_pi
+
+        omega[live] = bracketed_roots(phase, omega[live], np.pi * (j + 1) / a)
+        return omega
+
+    def eigenvalue(omega):
+        return s / (g + w * chord(np.asarray(omega, dtype=float)) ** 2)
+
+    return roots, eigenvalue
+
+
 @dataclass(frozen=True)
 class TranscendentalSpec:
-    """A transcendental eigenvalue problem: residual whose positive roots k
-    map to Mercer eigenvalues via mercer_map; ``curves(k)`` samples the two
-    curves whose intersections locate the roots."""
+    """The paper's printed root equation of one second-order kernel: the
+    positive roots k of ``residual`` are the roots of
+    ``boundary_equation(*second_order)`` at h = 0, and ``mercer_map`` maps
+    them to Mercer eigenvalues.  ``curves(k)`` samples the two curves whose
+    intersections locate the roots; ``k_min`` is where they start."""
 
     residual: Callable[[np.ndarray], np.ndarray]
-    mercer_map: Callable[[np.ndarray], np.ndarray]
     curves: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     k_min: float
+    second_order: tuple          # (poly_exp, a) of the kernel
+
+    def mercer_map(self, k):
+        return boundary_equation(*self.second_order)[1](k)
 
     def normalized_residual(self, k):
         return self.residual(k) / (1.0 + np.asarray(k, dtype=float) ** 2)
@@ -483,9 +552,9 @@ def exp_bvp_spec() -> TranscendentalSpec:
     """tan k = 2k/(k^2-1), cleared of tan poles: (k^2-1) sin k - 2k cos k."""
     return TranscendentalSpec(
         residual=lambda k: (np.asarray(k) ** 2 - 1.0) * np.sin(k) - 2.0 * np.asarray(k) * np.cos(k),
-        mercer_map=lambda k: 2.0 / (1.0 + np.asarray(k) ** 2),
         curves=lambda k: (np.tan(k), 2 * k / (k ** 2 - 1.0)),
         k_min=1.0,
+        second_order=(((1.0,), 1.0), 1.0),
     )
 
 
@@ -495,9 +564,9 @@ def triangle_bvp_spec() -> TranscendentalSpec:
     return TranscendentalSpec(
         residual=lambda k: 4.0 * (1.0 + np.cos(np.asarray(k) / 2.0))
         - 3.0 * np.asarray(k) * np.sin(np.asarray(k) / 2.0),
-        mercer_map=lambda k: 2.0 / np.asarray(k) ** 2,
         curves=lambda k: (np.tan(k / 4.0), 4.0 / (3.0 * k)),
         k_min=1e-6,
+        second_order=(((1.0, -1.0), 0.0), 0.5),
     )
 
 
@@ -552,12 +621,13 @@ class PdKernel:
     coefficients with rate 0 for ``bsplinex:k`` with a <= 1 -- which
     ``smooth`` and the other apply callers in ``rkhs`` pass to
     ``poly_exp_kernel_apply`` for (T_F g, (T_F g)') on the grid in O(n m),
-    and FFT convolution (``convolution_apply``) without it; ``descriptor``
-    is the elliptic operator T_F^{-1} extends; ``spectrum`` is the
-    transcendental equation of the Mercer eigenvalues (consumers raise
-    DomainError without them).  ``knots`` are the offsets t in (0, a],
-    besides the kink at 0, where F'' jumps (the x nodes of a table, the
-    integer knots of ``bsplinex:k``); the quadrature oracle
+    and FFT convolution (``convolution_apply``) without it, and which
+    ``boundary_equation`` reads for the Nystrom and Mercer spectra;
+    ``descriptor`` is the elliptic operator T_F^{-1} extends; ``spectrum``
+    is the paper's printed root equation of the Mercer eigenvalues
+    (consumers raise DomainError without them).  ``knots`` are the offsets
+    t in (0, a], besides the kink at 0, where F'' jumps (the x nodes of a
+    table, the integer knots of ``bsplinex:k``); the quadrature oracle
     ``mercer.apply_operator`` splits its integrals there.
     """
 

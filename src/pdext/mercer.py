@@ -11,18 +11,13 @@ half-size blocks (even and odd) in place of one n-square matrix.  Both blocks
 keep every eigenvalue and their traces add up to the matrix trace, so the
 trace identity check still reads sum lam.
 
-``discretize`` computes only the eigenvalues, by one of two routes:
-
-* a kernel whose ``poly_exp`` has a second-order ODE (c0 e^{-r|t|}, or
-  c0 + c1 |t| with |c1| a < 2 c0: exp, the triangle, ``bsplinex:2`` at
-  a <= 1) has a Nystrom matrix whose inverse is a second difference with
-  two boundary rows.  Its eigenvalues are the roots of one discrete
-  boundary equation per block, found in O(n) memory, the discrete form of
-  the paper's correspondence between T_F^{-1} and a boundary value
-  problem.  For the triangle the two blocks are the paper's two root
-  families, cos(k/4) = 0 (odd) and tan(k/4) = 4/(3k) (even), in the limit
-  h -> 0;
-* every other kernel runs ``eigvalsh`` on each block.
+``discretize`` computes only the eigenvalues.  For a kernel whose
+``poly_exp`` is second order (``kernels.boundary_equation``: exp, the
+triangle, ``bsplinex:2`` at a <= 1) they are the roots of one discrete
+boundary equation per block, found in O(n) memory: the discrete form of the
+paper's correspondence between T_F^{-1} and a boundary value problem, whose
+h = 0 case is the continuous Mercer spectrum.  Every other kernel runs
+``eigvalsh`` on each block.
 
 Most callers read nothing but the eigenvalues.  The eigenfunctions are
 computed on first access to ``MercerDecomposition.eigenfunctions``, by
@@ -32,7 +27,6 @@ the eigenvalues.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -40,9 +34,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .kernels import (EPS_PSD, DomainError, PdKernel, descriptor_for_kernel,
-                      kernel_from_name)
-from .quadrature import bracketed_roots, exp_kernel_apply
+from .kernels import (EPS_PSD, DomainError, PdKernel, boundary_equation,
+                      descriptor_for_kernel, kernel_from_name)
+from .quadrature import exp_kernel_apply
 
 
 @dataclass(frozen=True)
@@ -161,72 +155,28 @@ def _parity_block(row: np.ndarray, odd: bool) -> np.ndarray:
 
 
 def _boundary_spectrum(kernel: PdKernel, n: int) -> Optional[np.ndarray]:
-    """The even block's eigenvalues and then the odd block's, each ascending,
-    as roots of the discrete boundary equation; None for a kernel without
-    the capability (see ``discretize``).
+    """The even block's eigenvalues and then the odd block's, each ascending:
+    ``boundary_equation`` at h = a/n, None without its capability.
 
-    With h = a/n, the Nystrom matrix A has a closed-form inverse
-    M = [tridiag(-w, 2w + g, -w), end diagonal entries e] / s:
-
-    * c0 e^{-r|t|}, r > 0: A = h c0 rho^{|i-j|} with rho = e^{-rh}, the
-      Kac-Murdock-Szego matrix, so w = rho, g = (1 - rho)^2, e = 1 and
-      s = h c0 (1 - rho^2);
-    * c0 + c1 |t|, c0 > 0 > c1: with beta = -c1 h and
-      gamma = beta / (2 c0 - beta (n - 1)), w = 1, g = 0, e = 1 + gamma,
-      s = 2 beta h, and gamma in the corners (0, n-1) and (n-1, 0) of the
-      bracket.  gamma lies in (0, 1), as the root count needs, exactly
-      when 2 c0 > beta n = |c1| a.
-
-    An interior row takes cos((j - c) theta) or sin((j - c) theta),
-    c = (n - 1)/2, to the eigenvalue (g + 4 w sin^2(theta/2)) / s of M, so
-    lam = s / (g + 4 w sin^2(theta/2)).  Row 0, with the corner folded in by
-    the parity, leaves one equation in phi = n theta/2 per block:
-    tan phi = kappa_e cot(theta/2) (even), tan phi = -tan(theta/2) / kappa_o
-    (odd), with kappa_e = kappa_o = tanh(rh/2) for the exp type and
-    kappa_e = beta / (2 c0 - beta n) = gamma / (1 - gamma), kappa_o = 0 for
-    the |t| type.  Both phases increase strictly in theta, so each bracket
-    below holds exactly one root and the two blocks hold n roots:
-
-    * even, k = 0..q-1: n theta/2 - atan(kappa_e cot(theta/2)) = k pi on
-      [2k pi/n, (2k + 1) pi/n];
-    * odd, k = 1..p: n theta/2 + atan(tan(theta/2) / kappa_o) = k pi on
-      [(2k - 1) pi/n, 2k pi/n]; at kappa_o = 0 the root is the left end,
-      theta = (2k - 1) pi/n, taken in closed form.
-
-    ``bracketed_roots`` refines every bracket of a block at once, and
-    1 - rho, 1 - rho^2 and kappa come from expm1 and tanh, so each lam is
-    within a few ulps of the exact eigenvalue of A.
+    The Nystrom matrix A has the inverse M = [tridiag(-w, 2w + g, -w), end
+    diagonal entries e] / s.  For c0 e^{-r|t|}, A = h c0 rho^{|i-j|} with
+    rho = e^{-rh} (Kac-Murdock-Szego): w = rho, g = (1 - rho)^2, e = 1 and
+    s = h c0 (1 - rho^2).  For c0 + c1 |t|, with beta = -c1 h: w = 1, g = 0,
+    s = 2 beta h, e = 1 + gamma and gamma = beta / (2 c0 - beta (n - 1)) also
+    in the corners (0, n-1) and (n-1, 0); gamma lies in (0, 1), as the root
+    count needs, exactly when |c1| a < 2 c0.  An interior row takes
+    cos((j - c) omega h) and sin((j - c) omega h), c = (n - 1)/2, to the
+    eigenvalue (g + 4 w sin^2(omega h/2)) / s of M; row 0, with the corner
+    folded in by the parity, leaves one phase equation a block.  For the
+    triangle the blocks tend to the paper's root families cos(k/4) = 0 (odd)
+    and tan(k/4) = 4/(3k) (even) as h -> 0.
     """
-    if kernel.poly_exp is None:
+    equation = boundary_equation(kernel.poly_exp, kernel.half_width, kernel.half_width / n)
+    if equation is None:
         return None
-    coeffs, rate = kernel.poly_exp
-    h = kernel.half_width / n
-    if rate > 0 and len(coeffs) == 1 and coeffs[0] > 0:
-        rh = rate * h
-        s, g, w = h * coeffs[0] * -math.expm1(-2.0 * rh), math.expm1(-rh) ** 2, math.exp(-rh)
-        kappa_even = kappa_odd = math.tanh(0.5 * rh)
-    elif rate == 0 and len(coeffs) == 2 and coeffs[0] > 0 > coeffs[1] \
-            and 2.0 * coeffs[0] > -coeffs[1] * h * n:
-        beta = -coeffs[1] * h
-        s, g, w = 2.0 * beta * h, 0.0, 1.0
-        kappa_even, kappa_odd = beta / (2.0 * coeffs[0] - beta * n), 0.0
-    else:
-        return None
-    # the bracket ends are pi times a fraction <= 1, so none passes pi and
-    # tan(theta/2) stays positive
-    p, q = n // 2, n - n // 2
-    k = np.arange(q)
-    even = bracketed_roots(
-        lambda th: 0.5 * n * th - np.arctan2(kappa_even, np.tan(0.5 * th)) - np.pi * k,
-        np.pi * (2 * k / n), np.pi * ((2 * k + 1) / n))
-    k = np.arange(1, p + 1)
-    odd = np.pi * ((2 * k - 1) / n)
-    if kappa_odd > 0:
-        odd = bracketed_roots(
-            lambda th: 0.5 * n * th + np.arctan2(np.tan(0.5 * th), kappa_odd) - np.pi * k,
-            odd, np.pi * (2 * k / n))
-    theta = np.concatenate([even[::-1], odd[::-1]])      # lam ascending in each block
-    return s / (g + 4.0 * w * np.sin(0.5 * theta) ** 2)
+    omega = equation[0](n)
+    # omega ascends, so lam descends within each block
+    return equation[1](np.concatenate([omega[0::2][::-1], omega[1::2][::-1]]))
 
 
 def discretize(kernel: PdKernel, cfg: NystromConfig = NystromConfig()) -> MercerDecomposition:
@@ -248,11 +198,10 @@ def discretize(kernel: PdKernel, cfg: NystromConfig = NystromConfig()) -> Mercer
 
     Each block's eigenvalues come from one of two routes:
 
-    * capability: ``poly_exp`` is c0 e^{-r|t|} with r, c0 > 0, or
-      c0 + c1 |t| with c0 > 0 > c1 and |c1| a < 2 c0.  T^{-1} is then a
-      second difference with two boundary rows, and lam are the roots of
-      one discrete boundary equation per block (``_boundary_spectrum``):
-      O(n) time per bisection step and O(n) memory;
+    * the capability of ``kernels.boundary_equation``: T^{-1} is a second
+      difference with two boundary rows, and lam are the roots of one
+      boundary equation per block (``_boundary_spectrum``): O(n) time per
+      bisection step and O(n) memory;
     * every other kernel: ``np.linalg.eigvalsh`` on each block, built one
       at a time, so the peak is one block (n^2 / 4 doubles) and eigvalsh's
       copy of it.

@@ -111,3 +111,17 @@ def test_linear_kernel_past_the_bound_is_still_refused():
     assert _boundary_spectrum(kernel, 64) is None
     with pytest.raises(DomainError, match="rejected"):
         discretize(kernel, NystromConfig(64))
+
+
+@pytest.mark.parametrize("name, n", [("exp", 26), ("exp", 37), ("triangle", 37),
+                                     ("bsplinex:2@0.3", 31)])
+def test_top_bracket_where_omega_h_over_2_rounds_past_pi_over_2(name, n):
+    # at these n, (a/n)/2 times the top bracket end n pi/a rounds above the
+    # double nearest pi/2, where tan turns negative
+    kernel = MAKERS[name]()
+    assert 0.5 * (kernel.half_width / n) * (math.pi * n / kernel.half_width) > math.pi / 2
+    lam = discretize(kernel, NystromConfig(n)).eigenvalues
+    dense = np.linalg.eigvalsh(nystrom_matrix(kernel, n))[::-1]
+    inverse = np.sort(1.0 / np.linalg.eigvalsh(closed_form_inverse(kernel, n)))[::-1]
+    reference = np.where(dense >= math.sqrt(dense[0] * inverse[-1]), dense, inverse)
+    assert np.max(np.abs(lam - reference) / reference) <= 1e-13

@@ -84,6 +84,16 @@ class TestExtend:
         for line in out.read_text().strip().splitlines()[1:]:
             assert float(line.split(",")[2]) < 1e-15
 
+    @pytest.mark.parametrize("args", [["--theta", "3", "--xmin", "1e308", "--xmax", "0.5"],
+                                      ["--theta", "3", "--xmin=-1e308", "--xmax", "1e308"],
+                                      ["--r", "1", "--xmin=-1.7e308", "--xmax", "1.7e308"]])
+    def test_x_range_past_the_largest_double_is_refused(self, args, capsys):
+        # lambda x, or the grid spacing itself, overflowed into NaN rows at exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["extend", "--points", "2"] + args) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
+
 
 class TestJsonTypes:
     @pytest.mark.parametrize("args", [["sample", "--theta", "0", "--n", "60"],
@@ -245,6 +255,19 @@ class TestSampleCmd:
             warnings.simplefilter("error")
             assert run(["sample", "--width", width]) == 1
         assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
+
+
+    @pytest.mark.parametrize("center, width", [("3", "0.5"), ("-0.5", "0.5"), ("1.2", "0.2")])
+    def test_bump_outside_the_unit_interval_is_refused(self, center, width, capsys):
+        # the bump vanished on the sample points: all-zero rows compared nothing
+        assert run(["sample", "--center", center, "--width", width]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
+
+    def test_bump_reaching_into_the_unit_interval_runs(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert run(["sample", "--center", "1.3", "--width", "0.5", "--points", "5",
+                    "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["max_gap"] < 1e-2
 
 
 class TestIsometryCmd:
