@@ -7,7 +7,7 @@ from the discrete boundary equation of each even/odd block and run no
 
 Run from the repository root:
 
-    PYTHONPATH=src python bench/l3_discretize.py                # n = 400, 2000, 4000
+    PYTHONPATH=src python bench/l3_discretize.py                # n = 16, 64, 400, 2000, 4000
     PYTHONPATH=src python bench/l3_discretize.py --sizes 64 --out /tmp/l3.json
     PYTHONPATH=src python bench/l3_discretize.py --parent old.json
 
@@ -17,10 +17,13 @@ records the median wall time of ``discretize`` (kernel row, the eigenvalues
 of both blocks, merge), of the first ``eigenfunctions`` access on that result
 (``eigh`` on both blocks, columns written in place), and of
 ``np.linalg.eigvalsh`` and ``np.linalg.eigh`` on the strided Toeplitz view
-``discretize`` starts from; max |lam - lam_dense| / lam_0 against dense
-``eigvalsh``; max_k ||A v_k - lam_k v_k|| / lam_0 over the unit eigenvectors
-v_k; |sum lam - a| for the split and for dense; and the tracemalloc peak of
-one ``discretize`` call and of one first access, in units of n^2 doubles.
+``discretize`` starts from, and of ``eigvalsh`` on the two parity blocks
+(building them included: the route ``discretize`` takes for kernels without
+the boundary equation, timed for every kernel); max |lam - lam_dense| / lam_0
+against dense ``eigvalsh``; max_k ||A v_k - lam_k v_k|| / lam_0 over the
+unit eigenvectors v_k; |sum lam - a| for the split and for dense; and the
+tracemalloc peak of one ``discretize`` call and of one first access, in
+units of n^2 doubles.
 
 ``--parent FILE`` takes a record this script wrote in another checkout (for
 example the parent commit's, run on the same host just before) and stores
@@ -45,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from l2_apply import TABLE_SEED, commit, gaussian_mixture_table, timed
 from pdext import kernel_from_name
-from pdext.mercer import NystromConfig, discretize
+from pdext.mercer import NystromConfig, _parity_block, discretize
 
 ROOT = Path(__file__).resolve().parent.parent
 EIG_TOL = 1e-14
@@ -109,6 +112,9 @@ def case(name: str, kernel, n: int, repeats: int) -> dict:
     T = toeplitz_view(kernel, n)
     eigvalsh_s, eigvalsh_runs, lam_dense = timed(lambda: np.linalg.eigvalsh(T), repeats)
     eigh_s, eigh_runs, _ = timed(lambda: np.linalg.eigh(T), repeats)
+    row = np.array(T[0])                                 # h F(x_k - x_0)
+    blocks_s, blocks_runs, _ = timed(
+        lambda: [np.linalg.eigvalsh(_parity_block(row, odd)) for odd in (False, True)], repeats)
     lam = dec.eigenvalues
     spectrum_s = statistics.median(spectrum_runs)
     access_s = statistics.median(access_runs)
@@ -117,10 +123,13 @@ def case(name: str, kernel, n: int, repeats: int) -> dict:
         "kernel": name, "n": n,
         "discretize_s": spectrum_s, "eigenfunctions_s": access_s,
         "dense_eigvalsh_s": eigvalsh_s, "dense_eigh_s": eigh_s,
+        "blocks_eigvalsh_s": blocks_s,
         "speedup_vs_eigvalsh": eigvalsh_s / spectrum_s,
+        "speedup_vs_blocks_eigvalsh": blocks_s / spectrum_s,
         "speedup_vs_eigh": eigh_s / (spectrum_s + access_s),
         "discretize_runs_s": spectrum_runs, "eigenfunctions_runs_s": access_runs,
         "dense_eigvalsh_runs_s": eigvalsh_runs, "dense_eigh_runs_s": eigh_runs,
+        "blocks_eigvalsh_runs_s": blocks_runs,
         "max_rel_eig_err": float(np.max(np.abs(lam - lam_dense[::-1])) / lam[0]),
         "max_rel_residual": max_residual(T, dec),
         "trace_err": abs(float(np.sum(lam)) - a),
@@ -135,7 +144,7 @@ PARENT_FIELDS = ("discretize_s", "discretize_runs_s", "dense_eigh_s", "max_rel_e
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--sizes", default="400,2000,4000", help="comma-separated node counts n")
+    ap.add_argument("--sizes", default="16,64,400,2000,4000", help="comma-separated node counts n")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--parent", default=None,
                     help="a record of this script from another checkout, stored beside each case")
@@ -156,6 +165,7 @@ def main(argv=None) -> int:
             print(f"{name:>16} n={n:<5} discretize {c['discretize_s'] * 1e3:9.2f} ms  "
                   f"eigenfunctions {c['eigenfunctions_s'] * 1e3:9.2f} ms  "
                   f"dense eigvalsh {c['dense_eigvalsh_s'] * 1e3:9.2f} ms  "
+                  f"blocks eigvalsh {c['blocks_eigvalsh_s'] * 1e3:9.2f} ms  "
                   f"eigh {c['dense_eigh_s'] * 1e3:9.2f} ms  "
                   f"|lam - dense|/lam0 {c['max_rel_eig_err']:.1e}  "
                   f"resid/lam0 {c['max_rel_residual']:.1e}  |sum - a| {c['trace_err']:.1e}  "

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -25,6 +26,8 @@ from . import dyadic, elliptic, extensions, kernels, mercer, rkhs
 FMT = "%.17g"
 # least meaningful value of each integer option that has one
 INT_FLOORS = {"depth": 0, "points": 1, "trials": 1}
+# |lam x| past which the rounding of lam x alone exceeds 2 pi
+PHASE_LIMIT = 2.0 ** 52
 
 
 def _fmt(x) -> str:
@@ -107,6 +110,8 @@ def cmd_extend(args) -> int:
     # Python floats: a sum or product past the largest double is inf, not a warning
     if not np.isfinite(args.xmax - args.xmin):
         raise kernels.DomainError(f"[{args.xmin}, {args.xmax}] is wider than the largest double")
+    if args.xmin > args.xmax:
+        raise kernels.DomainError(f"--xmin {args.xmin} exceeds --xmax {args.xmax}")
     xs = np.linspace(args.xmin, args.xmax, args.points)
     if args.r is not None:
         g = extensions.g_r_extension(args.r)
@@ -121,8 +126,9 @@ def cmd_extend(args) -> int:
               {"r": args.r, "mass": mass})
         return 0
     ext = extensions.extend_type1(args.theta, args.n)
-    if not np.isfinite(float(np.max(np.abs(ext.lambdas))) * max(abs(args.xmin), abs(args.xmax))):
-        raise kernels.DomainError(f"lambda x of F_theta overflows on [{args.xmin}, {args.xmax}]")
+    if float(np.max(np.abs(ext.lambdas))) * max(abs(args.xmin), abs(args.xmax)) >= PHASE_LIMIT:
+        raise kernels.DomainError(f"max |lambda x| of F_theta reaches 2^52 on [{args.xmin}, "
+                                  f"{args.xmax}], where its rounding alone exceeds 2 pi")
     vals = ext(xs)
     err = [float(abs(v - np.exp(-abs(x)))) if abs(x) < 1.0 else float("nan")
            for x, v in zip(xs, vals)]
@@ -230,8 +236,18 @@ def cmd_isometry(args) -> int:
     return 0 if report.passed else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with a minus sign and a digit, such as
+    ``--points -1,0.5`` or ``--xmin -1e300``, as a value, not as an option
+    (no option of pdext looks like a number)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="pdext", description=__doc__)
+    ap = _Parser(prog="pdext", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):

@@ -9,7 +9,7 @@ theta in [0, 2pi) and their spectra Lambda_theta solve
 equivalently the strictly monotone phase equation
 lam + 2 arctan(lam) = theta + 2 pi n, one root per branch n.  The arctan
 form of the same condition hides a branch choice, so all branches are
-bisected at once in the phase form and residuals are reported for the
+solved at once in the phase form and residuals are reported for the
 complex equation with the 2 pi n multiple removed exactly.
 
 Type-1 extensions: F_theta = sum 2/(lam^2+3) e^{i lam x} is the ThetaExpansion
@@ -64,8 +64,9 @@ def solve_theta_spectrum(theta: float, N: int) -> ThetaSpectrum:
     """Solve lam + 2 arctan(lam) = theta + 2 pi n for n in [-N, N].
 
     Each branch window (theta + (2n-1) pi, theta + (2n+1) pi) holds exactly
-    one root since the phase is strictly increasing; all windows are bisected
-    at once in the offset t = lam - theta - (2n-1) pi.  The residual
+    one root since the phase is strictly increasing; all windows are solved
+    at once in the offset t = lam - theta - (2n-1) pi by safeguarded Newton
+    steps on the phase's derivative 1 + 2/(1 + lam^2).  The residual
     |e^{i lam}(1+i lam) - e^{i theta}(1-i lam)| evaluates e^{i lam} as
     -e^{i(theta+t)}, an exact reduction of the 2 pi n multiple.  theta
     outside [0, 2pi) is reduced modulo 2 pi.
@@ -77,7 +78,8 @@ def solve_theta_spectrum(theta: float, N: int) -> ThetaSpectrum:
     base = theta + (2 * ns - 1) * math.pi
     lo = np.full(len(ns), 1e-14)
     t = bracketed_roots(lambda t: (t - math.pi) + 2.0 * np.arctan(base + t),
-                        lo, 2.0 * math.pi - lo)
+                        lo, 2.0 * math.pi - lo,
+                        lambda t: 1.0 + 2.0 / (1.0 + (base + t) ** 2))
     lams = base + t
     resids = np.abs(-np.exp(1j * (theta + t)) * (1.0 + 1j * lams)
                     - np.exp(1j * theta) * (1.0 - 1j * lams))

@@ -479,7 +479,12 @@ def boundary_equation(poly_exp, a: float, h: float = 0.0):
 
     K_e = K_o = tanh(rh/2)/h, or K_e = |c1|/(2 c0 - |c1| a) and K_o = 0, whose
     odd roots are the left bracket ends.  Each phase rises strictly, so each
-    bracket holds one simple root.  ``eigenvalue`` is
+    bracket holds one simple root, which ``bracketed_roots`` finds by
+    safeguarded Newton steps on the phase's derivative
+
+        a/2 + K T'/(T^2 + K^2),   T' = (1 + (hT)^2)/2 (1/2 at h = 0),
+
+    K = K_e or K_o.  ``eigenvalue`` is
     lam = s/(g + 4 w sin^2(omega h/2)), s, g and w as in ``_boundary_spectrum``.
     As h -> 0, T, K_e = K_o and lam become omega/2, r/2 and 2 r c0/(r^2 + omega^2)
     or 2 |c1|/omega^2.  T is read at omega h/2 <= pi/2, past which the top
@@ -512,6 +517,7 @@ def boundary_equation(poly_exp, a: float, h: float = 0.0):
         live = (j % 2 == 0) | (k_odd > 0)
         j = j[live]
         odd, k_pi = j % 2 == 1, np.pi * ((j + 1) // 2)
+        K = np.where(odd, k_odd, k_even)
 
         def phase(om):
             # atan2(T, K_o) = -atan2(-T, K_o): one atan2 serves both blocks
@@ -519,7 +525,12 @@ def boundary_equation(poly_exp, a: float, h: float = 0.0):
             y, x = np.where(odd, -T, k_even), np.where(odd, k_odd, T)
             return 0.5 * a * om - np.arctan2(y, x) - k_pi
 
-        omega[live] = bracketed_roots(phase, omega[live], np.pi * (j + 1) / a)
+        def slope(om):
+            # T' = (1 + (hT)^2)/2, which is 1/2 at h = 0
+            T = tangent(om)
+            return 0.5 * a + 0.5 * K * (1.0 + (h * T) ** 2) / (T * T + K * K)
+
+        omega[live] = bracketed_roots(phase, omega[live], np.pi * (j + 1) / a, slope)
         return omega
 
     def eigenvalue(omega):

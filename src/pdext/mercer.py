@@ -201,7 +201,8 @@ def discretize(kernel: PdKernel, cfg: NystromConfig = NystromConfig()) -> Mercer
     * the capability of ``kernels.boundary_equation``: T^{-1} is a second
       difference with two boundary rows, and lam are the roots of one
       boundary equation per block (``_boundary_spectrum``): O(n) time per
-      bisection step and O(n) memory;
+      safeguarded Newton step of ``bracketed_roots``, a few of them
+      whatever n is, and O(n) memory;
     * every other kernel: ``np.linalg.eigvalsh`` on each block, built one
       at a time, so the peak is one block (n^2 / 4 doubles) and eigvalsh's
       copy of it.

@@ -80,18 +80,45 @@ def simpson(values: np.ndarray, grid: np.ndarray):
     return head + 0.5 * h * (values[..., -2] + values[..., -1])
 
 
-def bracketed_roots(f, lo, hi) -> np.ndarray:
+def bracketed_roots(f, lo, hi, df=None) -> np.ndarray:
     """One root of a vectorized ``f`` in each bracket [lo_i, hi_i] across
-    which it changes sign.  Every bracket is bisected at once until its ends
-    are adjacent floats; the end with the smaller |f| is returned."""
+    which it changes sign, all brackets at once; a bracket without a sign
+    change is refused.  Each step evaluates f at one point x strictly inside
+    each bracket and keeps the half that still changes sign, so x becomes
+    an end.  A bracket stops when its ends are adjacent floats, and returns
+    the end with the smaller |f|.
+
+    Without ``df`` every x is the midpoint: bisection.  With ``df``, the
+    derivative of f, x is the Newton step from the last x where that lands
+    strictly inside the bracket and is at most half the Newton step before
+    it, and the midpoint elsewhere; the first x is the midpoint.  A run of
+    Newton steps thus shrinks geometrically, and a ``df`` too poor for that
+    falls back to bisection.  A bracket also stops where f is exactly 0 at
+    an end, or once two Newton steps in a row converge: the last was at most
+    one ulp of the far end max(|lo|, |hi|), or the next, at most half the
+    last, would not move x.  Near a simple root, a ``df`` off by a constant
+    factor c shrinks successive Newton steps by |1 - 1/c|, which fails the
+    halving test unless 2/3 <= c <= 2, so such a ``df`` stops by the
+    bracket alone."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     flo, fhi = np.asarray(f(lo)), np.asarray(f(hi))
     if np.any(np.sign(flo) * np.sign(fhi) > 0.0):
         from .kernels import DomainError   # kernels imports this module
         raise DomainError("f does not change sign across every bracket")
+    # the last x, the Newton step from it, the Newton step that reached it
+    # and the one before; NaN where a step is none (a midpoint, or no x yet)
+    x = step = reached = before = np.full(lo.shape, np.nan)
     while True:
         mid = 0.5 * (lo + hi)
         live = (lo < mid) & (mid < hi)
+        if df is not None:
+            target = x - step
+            converged = ((target == x) & (np.abs(step) <= 0.5 * reached)) | (
+                (reached <= np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+                & (reached <= 0.5 * before))
+            live &= (flo != 0.0) & (fhi != 0.0) & ~converged
+            newton = (lo < target) & (target < hi) & ~(np.abs(step) > 0.5 * reached)
+            mid = np.where(newton, target, mid)
         if not live.any():
             break
         fmid = np.asarray(f(mid))
@@ -100,6 +127,11 @@ def bracketed_roots(f, lo, hi) -> np.ndarray:
         left = live & ~right
         lo, flo = np.where(right, mid, lo), np.where(right, fmid, flo)
         hi, fhi = np.where(left, mid, hi), np.where(left, fmid, fhi)
+        if df is not None:
+            x = np.where(live, mid, x)
+            before = np.where(live, reached, before)
+            reached = np.where(live, np.where(newton, np.abs(step), np.nan), reached)
+            step = np.where(live, fmid / np.asarray(df(mid)), step)
     return np.where(np.abs(fhi) < np.abs(flo), hi, lo)
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pdext import extensions
 from pdext.cli import main
 
 
@@ -93,6 +94,26 @@ class TestExtend:
             warnings.simplefilter("error")
             assert run(["extend", "--points", "2"] + args) == 1
         assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("scale, code", [(0.99, 0), (1.01, 1)])
+    def test_phase_past_2_to_the_52_is_refused(self, scale, code, capsys):
+        # past max|lam| max|x| = 2^52 the rounding of lam x alone exceeds 2 pi,
+        # and --xmin=-1e300 --xmax 1e300 printed noise rows at exit 0
+        top = float(np.max(np.abs(extensions.extend_type1(3.0, 10).lambdas)))
+        xmax = repr(scale * 2.0 ** 52 / top)
+        assert run(["extend", "--theta", "3", "--n", "10", "--xmin", "-" + xmax,
+                    "--xmax", xmax, "--points", "3"]) == code
+        out = capsys.readouterr().out
+        if code:
+            assert json.loads(out)["error"] == "DomainError"
+        else:
+            assert "nan" not in out.splitlines()[2]
+
+    @pytest.mark.parametrize("kind", [["--theta", "0.5"], ["--r", "0.5"]])
+    def test_descending_range_is_refused(self, kind, capsys):
+        # --xmin > --xmax printed the rows in descending order at exit 0
+        assert run(["extend", "--xmin", "0.5", "--xmax", "-0.5", "--points", "3"] + kind) == 1
+        assert "exceeds --xmax" in json.loads(capsys.readouterr().out)["detail"]
 
 
 class TestJsonTypes:
@@ -279,6 +300,14 @@ class TestIsometryCmd:
 
     def test_bad_point_token_is_named(self, capsys):
         assert run(["isometry", "--points", "0,abc"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "DomainError" and "'abc'" in payload["detail"]
+
+    def test_points_with_a_leading_minus_are_a_value(self, capsys):
+        # argparse read -0.2,0.3 as an unknown option and exited 2 with usage
+        assert run(["isometry", "--points", "-0.2,0.3"]) == 0
+        assert json.loads(capsys.readouterr().out)["points"] == [-0.2, 0.3]
+        assert run(["isometry", "--points", "-0.2,abc"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "DomainError" and "'abc'" in payload["detail"]
 

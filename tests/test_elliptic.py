@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from pdext import DomainError
@@ -94,6 +96,79 @@ class TestBracketedRoots:
     def test_bracket_without_sign_change_refused(self):
         with pytest.raises(DomainError):
             bracketed_roots(np.cos, [0.0, 3.0], [1.0, 4.0])
+
+
+# strictly increasing g with g(u) = 0 only at u = 0, and g'
+MONOTONE = {
+    "linear": (lambda u: u, lambda u: np.ones_like(u)),
+    "cubic": (lambda u: u + u ** 3, lambda u: 1.0 + 3.0 * u ** 2),
+    "sinh": (np.sinh, np.cosh),
+    "atan": (lambda u: np.arctan(4.0 * u), lambda u: 4.0 / (1.0 + 16.0 * u ** 2)),
+    "expm1": (np.expm1, np.exp),
+    "concave": (lambda u: -np.expm1(-u), lambda u: np.exp(-u)),
+}
+
+
+@st.composite
+def monotone_brackets(draw):
+    """f(x) = s g(k (x - c)) on brackets [lo, hi] that hold the float c: at
+    an end, at the first midpoint or inside.  x - c rounds to 0 only at
+    x = c, so the sign of f changes exactly there."""
+    g, dg = MONOTONE[draw(st.sampled_from(sorted(MONOTONE)))]
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        lo = draw(st.floats(-20.0, 20.0))
+        hi = lo + draw(st.floats(1e-12, 20.0))
+        where = draw(st.sampled_from(["lo", "hi", "mid", "inside"]))
+        c = {"lo": lo, "hi": hi, "mid": 0.5 * (lo + hi),
+             "inside": min(hi, lo + draw(st.floats(0.0, 1.0)) * (hi - lo))}[where]
+        rows.append((lo, hi, c, draw(st.sampled_from([1.0, -1.0])), draw(st.floats(0.1, 2.0))))
+    lo, hi, c, s, k = map(np.array, zip(*rows))
+    return g, dg, lo, hi, c, s, k
+
+
+class TestBracketedRootsWithDerivative:
+    @given(case=monotone_brackets(), factor=st.sampled_from([1.0, 10.0, 0.1]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection_even_with_a_wrong_derivative(self, case, factor):
+        # a df off by a factor of 10 either way must still converge to the
+        # bisection root; the solver resolves one ulp of the bracket's far end
+        g, dg, lo, hi, c, s, k = case
+        f = lambda x: s * g(k * (x - c))
+        df = lambda x: factor * s * k * dg(k * (x - c))
+        bisected = bracketed_roots(f, lo, hi)
+        newton = bracketed_roots(f, lo, hi, df)
+        assert np.all((lo <= newton) & (newton <= hi))
+        far = np.maximum(np.abs(lo), np.abs(hi))
+        assert np.all(np.abs(newton - bisected) <= np.spacing(far))
+
+    @given(case=monotone_brackets())
+    @settings(max_examples=50, deadline=None)
+    def test_bracket_without_sign_change_refused(self, case):
+        g, dg, lo, hi, c, s, k = case
+        f = lambda x: s * g(k * (x - c))
+        df = lambda x: s * k * dg(k * (x - c))
+        with pytest.raises(DomainError):
+            bracketed_roots(f, c + 1.0 + (lo - lo.min()), c + 1.0 + (hi - lo.min()), df)
+
+    def test_newton_takes_a_few_steps_where_bisection_takes_fifty(self):
+        # x^3 = a for 100 values of a in [0, 5]: bisection halves to adjacent
+        # floats, Newton converges quadratically once close
+        a = np.linspace(0.5, 100.0, 100)
+        calls = {"bisection": 0, "newton": 0}
+
+        def counted(name):
+            def f(x):
+                calls[name] += 1
+                return x ** 3 - a
+            return f
+
+        bisected = bracketed_roots(counted("bisection"), np.zeros(100), np.full(100, 5.0))
+        newton = bracketed_roots(counted("newton"), np.zeros(100), np.full(100, 5.0),
+                                 lambda x: 3.0 * x ** 2)
+        assert np.all(np.abs(newton - bisected) <= np.spacing(5.0))
+        assert calls["bisection"] > 50
+        assert calls["newton"] <= 15
 
 
 @pytest.mark.parametrize("spec", [exp_bvp_spec(), triangle_bvp_spec()],
