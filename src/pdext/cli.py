@@ -26,6 +26,10 @@ from . import dyadic, elliptic, extensions, kernels, mercer, rkhs
 FMT = "%.17g"
 # least meaningful value of each integer option that has one
 INT_FLOORS = {"depth": 0, "points": 1, "trials": 1}
+# largest value of each size option, refused before anything is allocated:
+# about 10^5 rows (--points, 2^--depth) or trials, 0.26 n^2 doubles of a dense
+# Nystrom fallback (133 MB at 8000 nodes), n x 2n doubles of mercer's root match
+INT_CEILINGS = {"depth": 16, "points": 10 ** 5, "trials": 10 ** 5, "nodes": 8000, "n": 1000}
 # |lam x| past which the rounding of lam x alone exceeds 2 pi
 PHASE_LIMIT = 2.0 ** 52
 
@@ -324,6 +328,8 @@ def main(argv=None) -> int:
                 raise kernels.DomainError(f"--{name} must be finite, got {value!r}")
             if isinstance(value, int) and value < INT_FLOORS.get(name, value):
                 raise kernels.DomainError(f"--{name} must be >= {INT_FLOORS[name]}, got {value}")
+            if isinstance(value, int) and value > INT_CEILINGS.get(name, value):
+                raise kernels.DomainError(f"--{name} must be <= {INT_CEILINGS[name]}, got {value}")
         return args.fn(args)
     except Exception as exc:  # error JSON contract
         sys.stdout.write(json.dumps(

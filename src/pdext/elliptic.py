@@ -65,18 +65,14 @@ def verify_against_mercer(spec: TranscendentalSpec, dec: MercerDecomposition,
         raise DomainError(f"{N} eigenvalues asked of a rank {dec.rank} decomposition")
     roots = solve_transcendental(spec, max(2 * N + 8, 16))
     mapped = spec.mercer_map(roots)
-    matched, unmatched = [], []
-    worst = 0.0
-    for i in range(N):
-        lam = dec.eigenvalues[i]
-        j = int(np.argmin(np.abs(mapped - lam)))
-        rel = abs(mapped[j] - lam) / lam
-        if rel < 1e-3:
-            matched.append((i, float(lam), float(roots[j]), float(mapped[j]), float(rel)))
-            worst = max(worst, rel)
-        else:
-            unmatched.append((i, float(lam)))
-    return MercerMatchReport(matched, unmatched, worst)
+    lam = dec.eigenvalues[:N]
+    j = np.argmin(np.abs(mapped[None, :] - lam[:, None]), axis=1)
+    rel = np.abs(mapped[j] - lam) / lam
+    ok = rel < 1e-3
+    matched = [(i, float(lam[i]), float(roots[j[i]]), float(mapped[j[i]]), float(rel[i]))
+               for i in np.flatnonzero(ok).tolist()]
+    unmatched = [(i, float(lam[i])) for i in np.flatnonzero(~ok).tolist()]
+    return MercerMatchReport(matched, unmatched, float(np.max(rel[ok], initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -612,6 +612,12 @@ EXP_DESCRIPTOR = EllipticDescriptor(
 TRIANGLE_DESCRIPTOR = EllipticDescriptor(
     (0.0, 0.0, 0.5), ((0.0, 1.0, 0.0, 1.0), (1.0, -1.5, 1.0, 0.0)))
 
+# the paper's two printed boundary problems, keyed by the (poly_exp, a) of
+# the kernel and width they hold for
+_PRINTED_PROBLEMS = {spec.second_order: (desc, spec) for desc, spec in
+                     ((EXP_DESCRIPTOR, exp_bvp_spec()),
+                      (TRIANGLE_DESCRIPTOR, triangle_bvp_spec()))}
+
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -633,10 +639,9 @@ class PdKernel:
     ``smooth`` and the other apply callers in ``rkhs`` pass to
     ``poly_exp_kernel_apply`` for (T_F g, (T_F g)') on the grid in O(n m),
     and FFT convolution (``convolution_apply``) without it, and which
-    ``boundary_equation`` reads for the Nystrom and Mercer spectra;
-    ``descriptor`` is the elliptic operator T_F^{-1} extends; ``spectrum``
-    is the paper's printed root equation of the Mercer eigenvalues
-    (consumers raise DomainError without them).  ``knots`` are the offsets
+    ``boundary_equation`` reads for the Nystrom and Mercer spectra and
+    ``spec_for_kernel``/``descriptor_for_kernel`` for the paper's printed
+    boundary problem at (poly_exp, a).  ``knots`` are the offsets
     t in (0, a], besides the kink at 0, where F'' jumps (the x nodes of a
     table, the integer knots of ``bsplinex:k``); the quadrature oracle
     ``mercer.apply_operator`` splits its integrals there.
@@ -649,8 +654,6 @@ class PdKernel:
     deriv_at_zero: tuple[float, float] = (0.0, 0.0)   # (left, right) limits
     measure: Optional[SpectralMeasure] = None
     poly_exp: Optional[tuple[tuple[float, ...], float]] = None
-    descriptor: Optional[EllipticDescriptor] = None
-    spectrum: Optional[TranscendentalSpec] = None
     knots: tuple[float, ...] = ()
 
     def _abs(self, x):
@@ -685,8 +688,6 @@ def exp_kernel() -> PdKernel:
         deriv_at_zero=(1.0, -1.0),
         measure=_cauchy_measure(),
         poly_exp=((1.0,), 1.0),
-        descriptor=EXP_DESCRIPTOR,
-        spectrum=exp_bvp_spec(),
     )
 
 
@@ -704,8 +705,6 @@ def triangle_kernel() -> PdKernel:
         deriv_at_zero=(1.0, -1.0),
         measure=meas,
         poly_exp=((1.0, -1.0), 0.0),
-        descriptor=TRIANGLE_DESCRIPTOR,
-        spectrum=triangle_bvp_spec(),
     )
 
 
@@ -759,9 +758,7 @@ def bspline_x_kernel(k: int, half_width: float = 0.5) -> PdKernel:
     """Normalized x-space B-spline B^{*k}(x)/B^{*k}(0) restricted to (-a, a);
     k = 2 is the triangle.  Frequency density ~ sinc^k with tail exponent k,
     so k must be even (sinc^k < 0 somewhere for odd k).  For a <= 1 the
-    kernel is one polynomial in |t| and carries its fast apply.  Only
-    k = 2 with a = 1/2 carries the triangle's descriptor and spectrum: its
-    boundary rows and root equation hold for a = 1/2 alone."""
+    kernel is one polynomial in |t| and carries its fast apply."""
     if k < 2 or k % 2:
         raise DomainError("bsplinex:k needs an even k >= 2: the density sinc^k "
                           "is negative somewhere for odd k")
@@ -787,14 +784,11 @@ def bspline_x_kernel(k: int, half_width: float = 0.5) -> PdKernel:
                 - bspline_autoconvolution(k - 1, x - 0.5)) / b0
 
     coeffs = bspline_x_poly_coeffs(k)
-    triangle = k == 2 and half_width == 0.5
     # the one-sided limits of F' at 0 are -c_1 (left) and c_1 (right)
     return PdKernel(family=f"bsplinex:{k}", half_width=half_width,
                     evaluate=ev, derivative=dv, deriv_at_zero=(-coeffs[1], coeffs[1]),
                     measure=meas,
                     poly_exp=(coeffs, 0.0) if half_width <= 1.0 else None,
-                    descriptor=TRIANGLE_DESCRIPTOR if triangle else None,
-                    spectrum=triangle_bvp_spec() if triangle else None,
                     knots=tuple(float(j) for j in range(1, min(k // 2, int(half_width)) + 1)))
 
 
@@ -845,16 +839,20 @@ def kernel_from_name(name: str) -> PdKernel:
     raise DomainError(f"unknown kernel family '{name}'")
 
 
+def _printed_problem(kernel: PdKernel, what: str):
+    """(descriptor, spec) at the kernel's (poly_exp, a), else DomainError."""
+    try:
+        return _PRINTED_PROBLEMS[(kernel.poly_exp, kernel.half_width)]
+    except (KeyError, TypeError):
+        raise DomainError(f"no {what} for kernel '{kernel.family}'") from None
+
+
 def spec_for_kernel(kernel: PdKernel) -> TranscendentalSpec:
-    if kernel.spectrum is None:
-        raise DomainError(f"no transcendental spectrum for kernel '{kernel.family}'")
-    return kernel.spectrum
+    return _printed_problem(kernel, "transcendental spectrum")[1]
 
 
 def descriptor_for_kernel(kernel: PdKernel) -> EllipticDescriptor:
-    if kernel.descriptor is None:
-        raise DomainError(f"no elliptic descriptor for kernel '{kernel.family}'")
-    return kernel.descriptor
+    return _printed_problem(kernel, "elliptic descriptor")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -256,15 +256,14 @@ def hf_inner_via_inverse(h_nodes: np.ndarray, k_nodes: np.ndarray,
 
 def volterra_apply(f: Callable[[np.ndarray], np.ndarray], n: int = 800,
                    grid: Optional[np.ndarray] = None):
-    """T_F f for the exp kernel: exp_kernel_apply on the grid (default n + 1
-    uniform points of [0, 1]) joined with the end points, so the integration
-    cells always cover [0, 1] even when the grid does not touch 0 or 1.
-    Returns (grid, values).
+    """T_F f for the exp kernel at the grid points (default the n + 1
+    uniform points of [0, 1]): exp_kernel_apply on the n uniform cells of
+    [0, 1] split at the grid points, so the quadrature resolves f however
+    few points are asked for.  Returns (grid, values).
     """
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, n + 1)
-    grid = np.asarray(grid, dtype=float)
-    full = np.union1d(np.array([0.0, 1.0]), grid)
+    lattice = np.linspace(0.0, 1.0, n + 1)
+    grid = lattice if grid is None else np.asarray(grid, dtype=float)
+    full = np.union1d(lattice, grid)
     values, _ = exp_kernel_apply(full, f)
     idx = np.searchsorted(full, grid)
     return grid, values[idx]

@@ -43,3 +43,12 @@ def dec_tri_800(ktri):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+def pytest_collection_modifyitems(items):
+    # hypothesis's failure report imports libcst, which warns through
+    # mypy_extensions; a mark applies after -W, so under -W error the
+    # falsifying example is printed instead of an INTERNALERROR
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings(
+            "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"))

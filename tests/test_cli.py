@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pdext import extensions
-from pdext.cli import main
+from pdext.cli import INT_CEILINGS, main
 
 
 def run(args):
@@ -337,6 +337,16 @@ class TestContract:
     def test_domain_error_on_bad_arguments(self, args, capsys):
         assert run(args) == 1
         assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("args", [["onb", "--depth"], ["extend", "--points"],
+                                      ["isometry", "--trials"], ["mercer", "--nodes"],
+                                      ["mercer", "--n"]])
+    def test_size_above_its_ceiling_is_refused(self, args, capsys):
+        # refused before anything is built: only the ceiling + 1 is run
+        option = args[1].lstrip("-")
+        assert run(args + [str(INT_CEILINGS[option] + 1)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "DomainError" and "<=" in payload["detail"]
 
     def test_no_temp_files_left(self, tmp_path):
         out = tmp_path / "x.csv"

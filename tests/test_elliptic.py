@@ -195,6 +195,27 @@ class TestVerifyAgainstMercer:
         assert rep.all_matched
         assert rep.max_rel_error < 1e-4
 
+    @pytest.mark.parametrize("spec,dec,N", [("exp", "dec_exp_400", 20),
+                                            ("triangle", "dec_tri_400", 40)])
+    def test_report_equals_a_loop_over_the_eigenvalues(self, spec, dec, N, request):
+        # the one-at-a-time nearest-root match, with matched and unmatched rows
+        spec = {"exp": exp_bvp_spec, "triangle": triangle_bvp_spec}[spec]()
+        dec = request.getfixturevalue(dec)
+        roots = solve_transcendental(spec, 2 * N + 8)
+        mapped = spec.mercer_map(roots)
+        matched, unmatched, worst = [], [], 0.0
+        for i, lam in enumerate(dec.eigenvalues[:N]):
+            j = int(np.argmin(np.abs(mapped - lam)))
+            rel = abs(mapped[j] - lam) / lam
+            if rel < 1e-3:
+                matched.append((i, float(lam), float(roots[j]), float(mapped[j]), float(rel)))
+                worst = max(worst, rel)
+            else:
+                unmatched.append((i, float(lam)))
+        rep = verify_against_mercer(spec, dec, N)
+        assert unmatched and matched
+        assert (rep.matched, rep.unmatched, rep.max_rel_error) == (matched, unmatched, worst)
+
     def test_top_eigenvalue_is_smallest_root(self, dec_exp_800):
         spec = exp_bvp_spec()
         ks = solve_transcendental(spec, 1)

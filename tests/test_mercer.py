@@ -133,6 +133,13 @@ class TestVolterra:
         _, vals = volterra_apply(lambda y: 0.0 * y, n=100)
         assert np.max(np.abs(vals)) == 0.0
 
+    def test_few_points_keep_the_full_quadrature(self, kexp):
+        # the caller's points split the n uniform cells; they are not the cells
+        f = mollifier(0.5, 0.25)[0]
+        xs = np.array([0.5])
+        _, vals = volterra_apply(f, grid=xs)
+        assert np.max(np.abs(vals - apply_operator(kexp, f, xs))) < 1e-12
+
     def test_matches_nystrom_matrix_application(self, dec_exp_800, kexp):
         # midpoint-rule matrix application agrees at its own O(h^2) accuracy
         d = dec_exp_800

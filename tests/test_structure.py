@@ -10,8 +10,9 @@ import pytest
 from pdext import DomainError, bspline_x_kernel, kernel_from_name, tabulated_kernel
 from pdext.cli import main
 from pdext.elliptic import (descriptor_for_kernel, distributional_derivative_check,
-                            mollifier, spec_for_kernel, standard_bumps,
-                            verify_against_mercer)
+                            exp_bvp_spec, mollifier, spec_for_kernel, standard_bumps,
+                            triangle_bvp_spec, verify_against_mercer)
+from pdext.kernels import EXP_DESCRIPTOR, TRIANGLE_DESCRIPTOR, PdKernel
 from pdext.mercer import NystromConfig, discretize, greens_inverse_apply
 from pdext.rkhs import element_measure_expansion, sampled_from_callable, smooth
 
@@ -61,6 +62,26 @@ def test_bsplinex2_off_the_triangle_width_has_no_triangle_structure():
         spec_for_kernel(kernel)
     with pytest.raises(DomainError):
         descriptor_for_kernel(kernel)
+
+
+def test_printed_problem_is_read_from_poly_exp_and_width():
+    # a kernel built by hand gets exp's problem through its data alone
+    def hand_built(half_width):
+        return PdKernel(family="hand", half_width=half_width, evaluate=lambda x: np.exp(-x),
+                        derivative=lambda x: -np.exp(-x), poly_exp=((1.0,), 1.0))
+
+    kernel = hand_built(1.0)
+    assert descriptor_for_kernel(kernel) == EXP_DESCRIPTOR
+    assert spec_for_kernel(kernel).second_order == exp_bvp_spec().second_order
+    for lookup in (spec_for_kernel, descriptor_for_kernel):
+        with pytest.raises(DomainError):
+            lookup(hand_built(0.7))
+
+
+def test_bsplinex2_at_the_triangle_width_gets_the_triangle_problem():
+    kernel = bspline_x_kernel(2, 0.5)
+    assert spec_for_kernel(kernel).second_order == triangle_bvp_spec().second_order
+    assert descriptor_for_kernel(kernel) == TRIANGLE_DESCRIPTOR
 
 
 def test_cli_mercer_refuses_kernel_without_spectrum(tmp_path, capsys):
