@@ -10,6 +10,7 @@ Run from the repository root:
     PYTHONPATH=src python bench/l3_discretize.py                # n = 16, 64, 400, 2000, 4000
     PYTHONPATH=src python bench/l3_discretize.py --sizes 64 --out /tmp/l3.json
     PYTHONPATH=src python bench/l3_discretize.py --parent old.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python bench/l3_discretize.py --sizes 16,64
 
 Kernels: exp, triangle, ``bspline:4`` and the Gaussian-mixture table of the
 benchmark's ``generic`` workload at seed 1.  For each kernel and n it
@@ -23,7 +24,16 @@ the boundary equation, timed for every kernel); max |lam - lam_dense| / lam_0
 against dense ``eigvalsh``; max_k ||A v_k - lam_k v_k|| / lam_0 over the
 unit eigenvectors v_k; |sum lam - a| for the split and for dense; and the
 tracemalloc peak of one ``discretize`` call and of one first access, in
-units of n^2 doubles.
+units of n^2 doubles.  Each median time has the min and max of its repeats
+beside it (``*_range_s``, and in brackets on stderr).
+
+Small-n timings need ``OPENBLAS_NUM_THREADS=1``.  With the variable unset,
+exp's and the triangle's ``eigh`` calls at n = 64 (``eigenfunctions`` and
+the dense ``eigh``) have taken 30-50 ms in one run and 0.3-0.4 ms in the
+next, probably OpenBLAS threads waking after the BLAS-free boundary route.
+The median of a few repeats does not remove that.  The range shows a swing
+within one run; a whole run that is slow shows as a narrow range at a high
+median, so compare it with a run under ``OPENBLAS_NUM_THREADS=1``.
 
 ``--parent FILE`` takes a record this script wrote in another checkout (for
 example the parent commit's, run on the same host just before) and stores
@@ -94,6 +104,11 @@ def split_timings(kernel, n: int, repeats: int):
     return spectrum, access, dec
 
 
+def spread(runs) -> list:
+    """[min, max] of the repeats, written beside their median."""
+    return [min(runs), max(runs)]
+
+
 def max_residual(T: np.ndarray, dec) -> float:
     A = np.ascontiguousarray(T)
     v = dec.eigenfunctions * np.sqrt(dec.weights[0])     # unit 2-norm columns
@@ -121,9 +136,11 @@ def case(name: str, kernel, n: int, repeats: int) -> dict:
     peak, access_peak = peaks_n2(kernel, n)
     return {
         "kernel": name, "n": n,
-        "discretize_s": spectrum_s, "eigenfunctions_s": access_s,
-        "dense_eigvalsh_s": eigvalsh_s, "dense_eigh_s": eigh_s,
-        "blocks_eigvalsh_s": blocks_s,
+        "discretize_s": spectrum_s, "discretize_range_s": spread(spectrum_runs),
+        "eigenfunctions_s": access_s, "eigenfunctions_range_s": spread(access_runs),
+        "dense_eigvalsh_s": eigvalsh_s, "dense_eigvalsh_range_s": spread(eigvalsh_runs),
+        "dense_eigh_s": eigh_s, "dense_eigh_range_s": spread(eigh_runs),
+        "blocks_eigvalsh_s": blocks_s, "blocks_eigvalsh_range_s": spread(blocks_runs),
         "speedup_vs_eigvalsh": eigvalsh_s / spectrum_s,
         "speedup_vs_blocks_eigvalsh": blocks_s / spectrum_s,
         "speedup_vs_eigh": eigh_s / (spectrum_s + access_s),
@@ -162,11 +179,13 @@ def main(argv=None) -> int:
                 old = [p for p in parent["cases"] if (p["kernel"], p["n"]) == (name, n)]
                 c["parent"] = {k: old[0][k] for k in PARENT_FIELDS} if old else None
             cases.append(c)
-            print(f"{name:>16} n={n:<5} discretize {c['discretize_s'] * 1e3:9.2f} ms  "
-                  f"eigenfunctions {c['eigenfunctions_s'] * 1e3:9.2f} ms  "
-                  f"dense eigvalsh {c['dense_eigvalsh_s'] * 1e3:9.2f} ms  "
-                  f"blocks eigvalsh {c['blocks_eigvalsh_s'] * 1e3:9.2f} ms  "
-                  f"eigh {c['dense_eigh_s'] * 1e3:9.2f} ms  "
+            ms = lambda key: "{:9.2f} ms [{:.2f}, {:.2f}]".format(
+                *(1e3 * t for t in (c[key + "_s"], *c[key + "_range_s"])))
+            print(f"{name:>16} n={n:<5} discretize {ms('discretize')}  "
+                  f"eigenfunctions {ms('eigenfunctions')}  "
+                  f"dense eigvalsh {ms('dense_eigvalsh')}  "
+                  f"blocks eigvalsh {ms('blocks_eigvalsh')}  "
+                  f"eigh {ms('dense_eigh')}  "
                   f"|lam - dense|/lam0 {c['max_rel_eig_err']:.1e}  "
                   f"resid/lam0 {c['max_rel_residual']:.1e}  |sum - a| {c['trace_err']:.1e}  "
                   f"peak {c['peak_n2_doubles']:.2f} + {c['eigenfunctions_peak_n2_doubles']:.2f} n^2",

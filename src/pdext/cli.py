@@ -110,6 +110,12 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _restriction_error(xs, vals):
+    """|value - e^{-|x|}| where |x| < 1, NaN elsewhere, and the |x| < 1 mask."""
+    inside = np.abs(xs) < 1.0
+    return np.where(inside, np.abs(vals - np.exp(-np.abs(xs))), np.nan), inside
+
+
 def cmd_extend(args) -> int:
     # Python floats: a sum or product past the largest double is inf, not a warning
     if not np.isfinite(args.xmax - args.xmin):
@@ -120,9 +126,7 @@ def cmd_extend(args) -> int:
     if args.r is not None:
         g = extensions.g_r_extension(args.r)
         vals = g(xs)
-        err = [abs(v - np.exp(-abs(x))) if abs(x) < 1.0 else float("nan")
-               for x, v in zip(xs, vals)]
-        rows = list(zip(xs, vals, err))
+        rows = list(zip(xs, vals, _restriction_error(xs, vals)[0]))
         mass = g.mass()
         if abs(mass - 1.0) > 1e-9:
             raise RuntimeError(f"ghat_r mass {mass!r} deviates from 1")
@@ -134,10 +138,8 @@ def cmd_extend(args) -> int:
         raise kernels.DomainError(f"max |lambda x| of F_theta reaches 2^52 on [{args.xmin}, "
                                   f"{args.xmax}], where its rounding alone exceeds 2 pi")
     vals = ext(xs)
-    err = [float(abs(v - np.exp(-abs(x)))) if abs(x) < 1.0 else float("nan")
-           for x, v in zip(xs, vals)]
-    inside = [e for x, e in zip(xs, err) if abs(x) < 1.0]
-    if inside and max(inside) > ext.tail_bound * (1 + 1e-9):
+    err, inside = _restriction_error(xs, vals)
+    if np.max(err[inside], initial=0.0) > ext.tail_bound * (1 + 1e-9):
         raise RuntimeError("restriction error exceeds the tail bound")
     rows = list(zip(xs, vals, err))
     _emit(rows, ["x", "F_theta", "restriction_error"], args,
@@ -197,7 +199,7 @@ def cmd_moments(args) -> int:
             rows.append((name, "-", "indeterminate", "-"))
             continue
         res = kernels.second_moment(kernel.measure, kernel.measure.cutoff)
-        idx = {"divergent": "(1,1)", "finite": "(0,0)"}.get(res.verdict, "indeterminate")
+        idx = "indeterminate" if res.indices is None else "(%d,%d)" % res.indices
         rows.append((name, res.value, res.verdict, idx))
     _emit(rows, ["kernel", "truncated_second_moment", "verdict", "indices"], args)
     return 0

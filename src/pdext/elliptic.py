@@ -30,16 +30,22 @@ from .mercer import MercerDecomposition, hf_inner_via_inverse
 # bracketed_roots lives in quadrature; re-exported here for its users
 from .quadrature import bracketed_roots, panel_nodes, simpson  # noqa: F401
 
+# bound on the normalized residual of a root k, in units of eps max(1, k):
+# over the first 8000 roots of both printed equations it is at most 1.11 there,
+# and a root moved by 1e-9 relative reads at least 134
+ROOT_RESIDUAL_EPS = 8.0
+
 
 def solve_transcendental(spec: TranscendentalSpec, count: int) -> np.ndarray:
     """First ``count`` positive roots: ``boundary_equation`` at h = 0 for the
     spec's (poly_exp, a), one root in each bracket [j pi/a, (j + 1) pi/a].
-    A root whose normalized residual in the spec's printed equation exceeds
-    1e-12 raises DomainError."""
+    A root k whose normalized residual in the spec's printed equation exceeds
+    ROOT_RESIDUAL_EPS eps max(1, k) raises DomainError."""
     if count < 1:
         raise DomainError("count must be >= 1")
     roots = boundary_equation(*spec.second_order)[0](count)
-    loose = np.abs(spec.normalized_residual(roots)) > 1e-12
+    bound = ROOT_RESIDUAL_EPS * np.finfo(float).eps * np.maximum(1.0, roots)
+    loose = np.abs(spec.normalized_residual(roots)) > bound
     if loose.any():
         raise DomainError(f"poorly converged root near k = {roots[loose][0]}")
     return roots
@@ -189,10 +195,11 @@ def ellipticity_check(kernel: PdKernel, dec: MercerDecomposition,
         raise DomainError("rank 2m exceeds the decomposition rank")
     ratios = {m: 0.0, 2 * m: 0.0}
     for h in samples:
-        hv = h.interpolator()(dec.nodes)
-        dv = h.dfn(dec.nodes) if h.dfn is not None else None
-        if dv is None:
-            spl = h.interpolator()
+        spl = h.interpolator()
+        hv = spl(dec.nodes)
+        if h.dfn is not None:
+            dv = h.dfn(dec.nodes)
+        else:
             eps = 1e-6
             dv = (spl(dec.nodes + eps) - spl(dec.nodes - eps)) / (2 * eps)
         denom = float(np.sum(dec.weights * (np.abs(hv) ** 2 + np.abs(dv) ** 2)))
@@ -236,10 +243,7 @@ def bspline_operator_bound(k: int, trials: int = 50, seed: int = 0,
             c = rng.uniform(0.2 * a, 0.8 * a)
             wd = rng.uniform(0.1 * a, 0.3 * a)
             amp = rng.uniform(0.5, 2.0)
-            uu = (y - c) / wd
-            inside = np.abs(uu) < 1
-            phi_y += amp * np.where(inside,
-                                    np.exp(-1.0 / np.where(inside, 1 - uu ** 2, 1.0)), 0.0)
+            phi_y += amp * mollifier(c, wd)[0](y)
         phihat = phases @ (w * phi_y)
         p2 = np.abs(phihat) ** 2
         num = simpson(u * u * p2 * dens, u)

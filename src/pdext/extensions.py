@@ -52,9 +52,6 @@ class ThetaSpectrum:
     lambdas: np.ndarray
     residuals: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.lambdas)
-
     def weights(self) -> np.ndarray:
         """ONB weights 1/||e_lam||^2."""
         return e_lambda_weights(self.lambdas)

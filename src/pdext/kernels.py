@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import GL_POINTS, bracketed_roots, exp_kernel_apply, integrate, simpson
+from .quadrature import bracketed_roots, exp_kernel_apply, simpson
 
 EPS_PSD = 1e-9
 
@@ -300,34 +300,26 @@ class SecondMomentResult:
     tail_exponent: Optional[float] = None
 
     @property
-    def divergent(self) -> bool:
-        return self.verdict == "divergent"
+    def indices(self) -> Optional[tuple[int, int]]:
+        """Deficiency indices the verdict implies: (1, 1) for a divergent
+        moment, (0, 0) for a finite one, None when indeterminate."""
+        return {"divergent": (1, 1), "finite": (0, 0)}.get(self.verdict)
 
 
 def _fit_tail_exponent(measure: SpectralMeasure) -> Optional[float]:
     """Log-log slope of the block-averaged density on the outer grid; None
     when the fit is too noisy to trust."""
-    grid, dens = measure.grid, measure.density
-    L = measure.cutoff
-    mask = np.abs(grid) > 0.5 * L
-    lam = np.abs(grid[mask])
-    rho = dens[mask]
+    mask = np.abs(measure.grid) > 0.5 * measure.cutoff
+    lam, rho = np.abs(measure.grid[mask]), measure.density[mask]
     if len(lam) < 32:
         return None
     order = np.argsort(lam)
     lam, rho = lam[order], rho[order]
-    nblk = 16
-    edges = np.linspace(0, len(lam), nblk + 1).astype(int)
-    lam_b, rho_b = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi > lo:
-            lam_b.append(np.mean(lam[lo:hi]))
-            rho_b.append(np.mean(rho[lo:hi]))
-    lam_b, rho_b = np.asarray(lam_b), np.asarray(rho_b)
+    cuts = np.linspace(0, len(lam), 17).astype(int)[1:-1]     # 16 blocks, none empty
+    lam_b, rho_b = (np.array([np.mean(b) for b in np.split(v, cuts)]) for v in (lam, rho))
     if np.any(rho_b <= 0):
         return None
-    X = np.log(lam_b)
-    Y = np.log(rho_b)
+    X, Y = np.log(lam_b), np.log(rho_b)
     slope, intercept = np.polyfit(X, Y, 1)
     resid = Y - (slope * X + intercept)
     ss_tot = np.sum((Y - Y.mean()) ** 2)
@@ -799,8 +791,8 @@ def tabulated_kernel(x: Sequence[float], F: Sequence[float],
     x = np.asarray(x, dtype=float)
     F = np.asarray(F, dtype=float)
     dF = np.asarray(dF, dtype=float)
-    if x[0] != 0.0:
-        raise DomainError("table must start at x = 0")
+    if len(x) < 2 or x[0] != 0.0:
+        raise DomainError("a table needs two or more rows and must start at x = 0")
     if F[0] <= 0:
         raise DomainError("F(0) must be positive")
     from scipy.interpolate import CubicHermiteSpline
@@ -811,16 +803,25 @@ def tabulated_kernel(x: Sequence[float], F: Sequence[float],
                     knots=tuple(x[1:].tolist()))
 
 
-def tabulated_kernel_from_csv(path: str) -> PdKernel:
-    xs, Fs, dFs = [], [], []
+def csv_columns(path: str, header: str, count: int) -> tuple[np.ndarray, ...]:
+    """The first ``count`` columns of a CSV file as float arrays, skipping
+    blank rows and rows whose first cell is empty or ``header``; a short row
+    or a non-numeric cell raises DomainError naming the file and the row."""
+    rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() in ("x", ""):
+        for line, row in enumerate(csv.reader(fh), 1):
+            if not row or row[0].strip().lower() in (header, ""):
                 continue
-            xs.append(float(row[0]))
-            Fs.append(float(row[1]))
-            dFs.append(float(row[2]))
-    return tabulated_kernel(xs, Fs, dFs)
+            try:
+                rows.append([float(row[i]) for i in range(count)])
+            except (ValueError, IndexError):
+                raise DomainError(f"{path}, row {line}: {count} numbers needed, "
+                                  f"got {row}") from None
+    return tuple(np.array(rows, dtype=float).reshape(-1, count).T)
+
+
+def tabulated_kernel_from_csv(path: str) -> PdKernel:
+    return tabulated_kernel(*csv_columns(path, "x", 3))
 
 
 def kernel_from_name(name: str) -> PdKernel:
@@ -905,39 +906,33 @@ def deficiency_indices(kernel: PdKernel) -> tuple[int, int]:
         raise DomainError(
             "kernel has no attached extension measure; construct one "
             "(e.g. via a type-1 extension) before asking for indices")
-    res = second_moment(kernel.measure, kernel.measure.cutoff)
-    if res.verdict == "divergent":
-        return (1, 1)
-    if res.verdict == "finite":
-        return (0, 0)
-    raise DomainError("second-moment verdict is indeterminate for this measure")
+    indices = second_moment(kernel.measure, kernel.measure.cutoff).indices
+    if indices is None:
+        raise DomainError("second-moment verdict is indeterminate for this measure")
+    return indices
 
 
 def concentration(mu: MeasureOnInterval) -> tuple[float, float]:
     """Degree of concentration q(mu) = double integral of e^{-|x-y|} d mu d mu
-    and dispersion -log q, for probability measures."""
+    and dispersion -log q, for probability measures.  One exp apply on the
+    cells of the grid and the atoms gives T rho (rho 0 off its grid) with no
+    kink inside a panel; the atoms read it, and Simpson on the grid."""
     mass = mu.total_mass()
     if abs(mass.imag) > 1e-10 or abs(mass.real - 1.0) > 1e-8 or mu.is_complex:
         raise DomainError("concentration requires a probability measure")
-    lo, hi = mu.interval
     if np.any(mu.density.real < -1e-12):
         raise DomainError("concentration requires a nonnegative density")
     locs = np.array([loc for loc, _ in mu.atoms])
     weights = np.array([w.real for _, w in mu.atoms])
     # atom x atom
     q = float(np.sum(np.outer(weights, weights) * np.exp(-np.abs(locs[:, None] - locs))))
-    has_density = len(mu.grid) > 1 and np.max(np.abs(mu.density)) > 0
-    if has_density:
+    if len(mu.grid) > 1 and np.max(np.abs(mu.density)) > 0:
         grid, rho = mu.grid, mu.density.real
-        rho_fn = lambda t: np.interp(t, grid, rho)
-        # atom x density (both orders)
-        for xa, wa in zip(locs, weights):
-            q += 2.0 * wa * integrate(lambda y: np.exp(-np.abs(xa - y)) * rho_fn(y),
-                                      lo, hi, n_panels=400, m=GL_POINTS, split_points=(xa,))
-        # density x density with the kink split at the inner variable
-        inner, _ = exp_kernel_apply(grid, rho_fn, m=GL_POINTS)
-        q += float(simpson(inner * rho, grid))
-    q = float(q)
+        cells = np.union1d(grid, locs)
+        t_rho, _ = exp_kernel_apply(cells, lambda t: np.interp(t, grid, rho, left=0.0, right=0.0))
+        at = lambda x: t_rho[np.searchsorted(cells, x)]
+        # atom x density (both orders), then density x density
+        q += 2.0 * float(np.dot(weights, at(locs))) + float(simpson(at(grid) * rho, grid))
     if not (0.0 < q <= 1.0 + 1e-9):
         raise DomainError(f"q(mu) = {q} outside (0, 1]")
     q = min(q, 1.0)

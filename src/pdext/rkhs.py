@@ -25,8 +25,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .kernels import (EXP_DESCRIPTOR, MEASURE_GRID_POINTS, DomainError,
-                      MeasureOnInterval, PdKernel, descriptor_for_kernel, simpson_grid)
+from .kernels import (EXP_DESCRIPTOR, MEASURE_GRID_POINTS, DomainError, MeasureOnInterval,
+                      PdKernel, csv_columns, descriptor_for_kernel, simpson_grid)
 from .quadrature import (_BLOCK_ENTRIES, GL_POINTS, UNIT_PANELS, convolution_apply, gl_rule,
                          integrate, poly_exp_kernel_apply, simpson, split_panel_nodes)
 
@@ -96,10 +96,6 @@ class Sampled:
         dv = self.dvalues
         if dv is None:
             dv = fd_derivative(self.values, self.grid[1] - self.grid[0])
-        if np.iscomplexobj(self.values):
-            re = CubicHermiteSpline(self.grid, self.values.real, dv.real)
-            im = CubicHermiteSpline(self.grid, self.values.imag, dv.imag)
-            return lambda t: re(t) + 1j * im(t)
         return CubicHermiteSpline(self.grid, self.values, dv)
 
 
@@ -199,11 +195,11 @@ def lattice_fourier(f: Callable, lambdas) -> np.ndarray:
 
 def _combo_matrix(combos: Sequence[KernelCombo]):
     """Distinct centers X and coefficients C with combos[i] = sum_j C[i, j] F(. - X[j])."""
-    centers = np.unique([x for cb in combos for _, x in cb.coeffs])
+    pairs = [p for cb in combos for p in cb.coeffs]
+    rows = np.repeat(np.arange(len(combos)), [len(cb.coeffs) for cb in combos])
+    centers, cols = np.unique([x for _, x in pairs], return_inverse=True)
     C = np.zeros((len(combos), len(centers)), dtype=complex)
-    for i, cb in enumerate(combos):
-        for c, x in cb.coeffs:
-            C[i, np.searchsorted(centers, x)] += c
+    np.add.at(C, (rows, cols), [c for c, _ in pairs])
     return centers, C
 
 
@@ -235,7 +231,7 @@ def _l2_pair(h: Sampled, k: Sampled, use_deriv: bool) -> complex:
         return complex(integrate(lambda x: np.conj(hf(x)) * kf(x), h.grid[0], h.grid[-1],
                                  UNIT_PANELS, GL_POINTS, split_points=set(h.kinks) | set(k.kinks)))
     if len(h.grid) != len(k.grid) or not np.allclose(h.grid, k.grid):
-        raise ValueError("sampled elements live on different grids")
+        raise DomainError("sampled elements live on different grids")
     hv = h.dvalues if use_deriv else h.values
     kv = k.dvalues if use_deriv else k.values
     return complex(simpson(np.conj(hv) * kv, h.grid))
@@ -398,31 +394,20 @@ def element_from_measure(mu: MeasureOnInterval, kernel: PdKernel,
     grid = np.linspace(0.0, a, n + 1)
     values = np.zeros(n + 1, dtype=complex)
     dvalues = np.zeros(n + 1, dtype=complex)
-    dens_fn = mu.density_fn
     if len(mu.grid) > 1 and np.max(np.abs(mu.density)) > 0:
-        if dens_fn is None:
-            g, d = mu.grid, mu.density
-            dens_fn = lambda t: np.interp(t, g, d.real) + 1j * np.interp(t, g, d.imag)
+        dens_fn = mu.density_fn if mu.density_fn is not None else Smoothed(mu.grid, mu.density)
         v, dv = _apply(kernel, grid, dens_fn)
         values += v
         dvalues += dv
     dleft, dright = kernel.deriv_at_zero
     for loc, w in mu.atoms:
-        values += w * kernel(grid - loc)
         t = grid - loc
-        dk = np.where(t > 0, kernel.deriv(np.where(t == 0, 1e-300, t)), 0.0) \
-            + np.where(t < 0, kernel.deriv(np.where(t == 0, -1e-300, t)), 0.0)
         # at x == loc the kernel kinks; take the one-sided limit pointing
         # into the interval (average for interior atoms)
-        at = np.isclose(t, 0.0, atol=1e-15)
-        if np.any(at):
-            if loc <= grid[0] + 1e-15:
-                dk = np.where(at, dright, dk)
-            elif loc >= grid[-1] - 1e-15:
-                dk = np.where(at, dleft, dk)
-            else:
-                dk = np.where(at, 0.5 * (dleft + dright), dk)
-        dvalues += w * dk
+        kink = dright if loc <= grid[0] + 1e-15 else \
+            dleft if loc >= grid[-1] - 1e-15 else 0.5 * (dleft + dright)
+        values += w * kernel(t)
+        dvalues += w * np.where(np.abs(t) <= 1e-15, kink, kernel.deriv(t))
     if np.max(np.abs(values.imag)) < 1e-14 and np.max(np.abs(dvalues.imag)) < 1e-14:
         values = values.real
         dvalues = dvalues.real
@@ -510,12 +495,4 @@ def element_from_json(text: str) -> RkhsElement:
 
 def load_test_function_csv(path: str):
     """Load a test function phi from CSV rows (y, phi(y))."""
-    import csv as _csv
-    ys, vs = [], []
-    with open(path, newline="") as fh:
-        for row in _csv.reader(fh):
-            if not row or row[0].strip().lower() in ("y", ""):
-                continue
-            ys.append(float(row[0]))
-            vs.append(float(row[1]))
-    return Smoothed(np.asarray(ys), np.asarray(vs))
+    return Smoothed(*csv_columns(path, "y", 2))
