@@ -1,47 +1,50 @@
 #!/usr/bin/env python3
-"""Layer L5: ``bochner_transform`` of the built-in spectral measures, the
-closed-form Fourier tail against a QUADPACK (QAWF) reference on the same tail.
+"""Layer L5: ``bochner_transform`` of the built-in spectral measures, one
+batched call over a vector of x against a loop of one call per x, and both
+against the unfolded complex Simpson sum they replace.
 
 Run from the repository root:
 
     PYTHONPATH=src python bench/l5_bochner.py                 # 9 points per measure
     PYTHONPATH=src python bench/l5_bochner.py --points 2 --out /tmp/l5.json
 
-Measures: exp (Cauchy), triangle, ``bsplinex:2`` at a = 1/2, ``bsplinex:4``
-at a = 1/2 and 1 and ``bsplinex:6`` at a = 1/2, with x on [0, a] and the
-kernel as oracle; and ghat_r of the type-2 extensions G_r for r = 0, 1/2, 1,
-with x on [0, 3] and G_r itself as oracle.  Each carries its tail past the
-cutoff L as terms c cos(w l) |l|^{-p} and (G_r) s sin(w |l|) |l|^{-p},
-which ``bochner_transform`` sums in closed form.  The QAWF side is this
-script's own reference, since pdext has no quadrature path for Bochner
-tails: ``bochner_transform`` of the measure with its tail undeclared
-(``tail=None``: the grid and the atoms alone), plus ``scipy.integrate.quad``
-with a cosine weight (limit 800) of the density the same terms sum to over
-[L, inf), twice, since the density is even.  Its ``abserr`` is recorded;
-its subdivision-cap warnings are not printed.  For each measure and x the
-script records the median wall time of one call on each side and
-|mu_hat(x) - F(x)|; the summary gives per measure the median and slowest
-time and the largest error.
+Measures: exp (Cauchy), triangle, ``bspline:4``, ``bsplinex:2`` at a = 1/2,
+``bsplinex:4`` at a = 1/2 and 1 and ``bsplinex:6`` at a = 1/2, with x on
+[0, a] and the kernel as oracle; and ghat_r of the type-2 extensions G_r
+for r = 0, 1/2, 1, with x on [0, 3] and G_r itself as oracle.  Three sides
+per measure, each timed over all its x:
+
+* ``batched``: ``bochner_transform(measure, xs)``, one call;
+* ``loop``: ``bochner_transform(measure, x)`` for each x;
+* ``unfolded``: for each x, Simpson of density * e^{i l x} in complex
+  arithmetic over the whole grid, the atoms and the closed-form tail -- the
+  sum ``bochner_transform`` took before its grid part became the real,
+  folded and batched sums of ``SpectralMeasure.fourier_rule``.
+
+The script records the median wall time of each side, each side's largest
+|mu_hat(x) - F(x)|, and the largest difference of the batched side from the
+other two; it exits 1 when that difference passes 1e-14.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import platform
 import statistics
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from l2_apply import commit, timed
-from pdext import bochner_transform, bspline_x_kernel, exp_kernel, g_r_extension, triangle_kernel
+from pdext import (bochner_transform, bspline_kernel, bspline_x_kernel, exp_kernel,
+                   g_r_extension, triangle_kernel)
+from pdext.kernels import _tail_fourier, simpson
 
 ROOT = Path(__file__).resolve().parent.parent
+AGREEMENT = 1e-14
 
 
 def on_interval(kernel):
@@ -58,6 +61,7 @@ def g_r(r: float):
 MEASURES = {
     "exp": lambda: on_interval(exp_kernel()),
     "triangle": lambda: on_interval(triangle_kernel()),
+    "bspline:4": lambda: on_interval(bspline_kernel(4)),
     "bsplinex:2@0.5": lambda: on_interval(bspline_x_kernel(2, 0.5)),
     "bsplinex:4@0.5": lambda: on_interval(bspline_x_kernel(4, 0.5)),
     "bsplinex:4@1": lambda: on_interval(bspline_x_kernel(4, 1.0)),
@@ -68,81 +72,76 @@ MEASURES = {
 }
 
 
-def qawf_reference(measure):
-    """x -> (mu_hat(x), abserr) with the tail past the cutoff L by QAWF on
-    the density the tail's terms sum to."""
-    from scipy.integrate import IntegrationWarning, quad
-    tail, L = measure.tail, measure.cutoff
-    body = dataclasses.replace(measure, tail=None)
-
-    def density(l):
-        l = np.abs(np.asarray(l, dtype=float))
-        return (sum(c * np.cos(w * l) * l ** -float(p) for c, w, p in tail.terms)
-                + sum(s * np.sin(w * l) * l ** -float(p) for s, w, p in tail.sine_terms))
-
-    def transform(x):
-        weight = {} if abs(x) < 1e-12 else {"weight": "cos", "wvar": x}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            half, abserr = quad(density, L, np.inf, limit=800, **weight)
-        return bochner_transform(body, x) + 2.0 * half, 2.0 * abserr
-
-    return transform
+def unfolded(measure, x: float) -> complex:
+    """The complex Simpson sum over the whole grid, the atoms, the tail."""
+    total = simpson(measure.density * np.exp(1j * measure.grid * x), measure.grid)
+    total += sum(w * np.exp(1j * loc * x) for loc, w in measure.atoms)
+    return complex(total + _tail_fourier(measure, x))
 
 
-def case(name: str, oracle, measure, reference, x: float, repeats: int) -> dict:
-    F = float(oracle(x))
-    closed_s, closed_runs, closed = timed(lambda: bochner_transform(measure, x), repeats)
-    qawf_s, qawf_runs, (qawf, abserr) = timed(lambda: reference(x), repeats)
-    return {
-        "measure": name, "x": x,
-        "closed_s": closed_s, "qawf_s": qawf_s, "speedup": qawf_s / closed_s,
-        "closed_runs_s": closed_runs, "qawf_runs_s": qawf_runs,
-        "closed_err": abs(closed - F), "qawf_err": abs(qawf - F), "qawf_abserr": abserr,
+def case(name: str, oracle, measure, xs: np.ndarray, repeats: int) -> dict:
+    F = np.array([float(oracle(x)) for x in xs])
+    sides = {
+        "batched": lambda: bochner_transform(measure, xs),
+        "loop": lambda: np.array([bochner_transform(measure, x) for x in xs]),
+        "unfolded": lambda: np.array([unfolded(measure, x) for x in xs]),
     }
+    row = {"measure": name, "points": len(xs), "grid_points": len(measure.grid),
+           "folded": not measure.fourier_rule[2]}
+    values = {}
+    for side, fn in sides.items():
+        row[f"{side}_s"], row[f"{side}_runs_s"], values[side] = timed(fn, repeats)
+        row[f"{side}_err"] = float(np.max(np.abs(values[side] - F)))
+    row["loop_over_batched"] = row["loop_s"] / row["batched_s"]
+    row["unfolded_over_batched"] = row["unfolded_s"] / row["batched_s"]
+    row["batched_vs_loop"] = float(np.max(np.abs(values["batched"] - values["loop"])))
+    row["batched_vs_unfolded"] = float(np.max(np.abs(values["batched"] - values["unfolded"])))
+    return row
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--points", type=int, default=9, help="x points per measure")
-    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--out", default=str(ROOT / "BENCH_L5_bochner.json"))
     args = ap.parse_args(argv)
     bochner_transform(exp_kernel().measure, 0.5)      # scipy.special import outside the timings
-    cases, summary = [], []
+    cases = []
     for name, make in MEASURES.items():
         oracle, measure, x_max = make()
-        reference = qawf_reference(measure)
-        rows = [case(name, oracle, measure, reference, float(x), args.repeats)
-                for x in np.linspace(0.0, x_max, args.points)]
-        cases += rows
-        summary.append({
-            "measure": name, "cutoff": measure.cutoff,
-            "terms": len(measure.tail.terms) + len(measure.tail.sine_terms),
-            "closed_median_s": statistics.median(r["closed_s"] for r in rows),
-            "qawf_median_s": statistics.median(r["qawf_s"] for r in rows),
-            "closed_max_s": max(r["closed_s"] for r in rows),
-            "qawf_max_s": max(r["qawf_s"] for r in rows),
-            "closed_max_err": max(r["closed_err"] for r in rows),
-            "qawf_max_err": max(r["qawf_err"] for r in rows),
-            "qawf_max_abserr": max(r["qawf_abserr"] for r in rows),
-        })
-        s = summary[-1]
-        print(f"{name:>15} closed {s['closed_median_s'] * 1e3:8.2f} ms  err {s['closed_max_err']:.1e}"
-              f"   QAWF {s['qawf_median_s'] * 1e3:8.2f} ms  err {s['qawf_max_err']:.1e}",
-              file=sys.stderr)
+        measure.fourier_rule                          # the cached weights outside the timings
+        cases.append(case(name, oracle, measure, np.linspace(0.0, x_max, args.points),
+                          args.repeats))
+        c = cases[-1]
+        print(f"{name:>15} {'folded' if c['folded'] else 'full  '}"
+              f"  batched {c['batched_s'] * 1e3:7.2f} ms  loop {c['loop_s'] * 1e3:7.2f} ms"
+              f"  unfolded {c['unfolded_s'] * 1e3:7.2f} ms  err {c['batched_err']:.1e}"
+              f"  vs unfolded {c['batched_vs_unfolded']:.1e}", file=sys.stderr)
     payload = {
-        "layer": "L5", "what": "bochner_transform of the built-in measures and of ghat_r: "
-                               "closed-form tail vs a QAWF reference on the same tail, error against "
-                               "F on [0, a] and against G_r on [0, 3]",
+        "layer": "L5", "what": "bochner_transform of the built-in measures and of ghat_r at "
+                               "--points x: one batched call, a loop of one call per x, and "
+                               "the unfolded complex Simpson sum per x; error against F on "
+                               "[0, a] and against G_r on [0, 3]",
         "command": "PYTHONPATH=src python bench/l5_bochner.py " + " ".join(argv or sys.argv[1:]),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
         "machine": platform.machine(), "python": platform.python_version(),
         "numpy": np.__version__, "commit": commit(),
-        "summary": summary, "cases": cases,
+        "summary": {
+            "median_loop_over_batched": statistics.median(c["loop_over_batched"] for c in cases),
+            "median_unfolded_over_batched": statistics.median(c["unfolded_over_batched"]
+                                                              for c in cases),
+            "max_batched_vs_other_sides": max(max(c["batched_vs_loop"], c["batched_vs_unfolded"])
+                                              for c in cases),
+        },
+        "cases": cases,
     }
     Path(args.out).write_text(json.dumps(payload, indent=1) + "\n")
+    worst = payload["summary"]["max_batched_vs_other_sides"]
+    if worst > AGREEMENT:
+        print(f"batched transform {worst:.2e} from the loop or the unfolded sum, "
+              f"past {AGREEMENT:.0e}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -34,7 +34,7 @@ from .kernels import (EPS_PSD, DomainError, PdKernel, SpectralMeasure,
                       TailDescriptor, bochner_transform)
 from .quadrature import bracketed_roots
 from .rkhs import (Sampled, e_lambda_weights, exp_basis_coefficients, exp_sum,
-                   lattice_fourier, sampled_from_callable)
+                   sampled_from_callable, shifted_lattice_fourier)
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +183,19 @@ def extension_measure(ext: TypeOneExtension) -> SpectralMeasure:
 def sample_via_spectrum(phi: Callable, ext: TypeOneExtension, x):
     """(T_F phi)(x) = sum_n w_n phihat(lam_n) e^{i lam_n x} with
     phihat(lam) = int_0^1 phi(y) e^{-i lam y} dy; a complex number for a
-    point x, an array of the shape of x otherwise.  phihat is
-    rkhs.lattice_fourier on P GL panels, P the smallest power of two
-    >= max(UNIT_PANELS, max|lam|/2), which resolves e^{-i lam y} to 1e-12
-    for every lam of the spectrum; its cost is O(len(lam) P)."""
+    point x, an array of the shape of x otherwise.  phihat is taken on P GL
+    panels, P the smallest power of two >= max(UNIT_PANELS, max|lam|/2),
+    which resolves e^{-i lam y} to 1e-12 for every lam of the spectrum.
+    Lambda_theta lies near the lattice (theta - pi) + 2 pi Z: lam =
+    (theta - pi) + 2 pi j + eps with eps = 2 atan(1/lam), so |eps| <= 2/|lam|,
+    and ``rkhs.shifted_lattice_fourier`` sums phihat there as a short series
+    in eps of FFTs over the panels, O(P log P + len(lam)); the few lam with
+    |lam| below about 64 take the lattice-factored sum of
+    ``rkhs.lattice_fourier``, O(P) each."""
     xs = np.asarray(x, dtype=float)
     if not np.all((0.0 < xs) & (xs < 1.0)):
         raise DomainError("sampling formula holds on (0, 1)")
-    phihat = lattice_fourier(phi, ext.lambdas)
+    phihat = shifted_lattice_fourier(phi, ext.lambdas, ext.theta - math.pi)
     out = exp_sum(ext.lambdas, ext.coeffs * phihat, xs)
     return complex(out) if out.ndim == 0 else out
 
@@ -362,13 +367,15 @@ def discrete_isometry_check(S: Sequence[float], F_vals: Callable,
     if evals[0] < -EPS_PSD:
         return IsometryReport(False, math.inf, np.array([]), False,
                               witness=evecs[:, 0])
-    mu_hat = np.asarray([bochner_transform(mu, d) for d in diffs])[inverse]
-    rng = np.random.default_rng(0)
-    gaps = np.empty(trials)
-    for t in range(trials):
-        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        lhs = float(np.real(np.conj(c) @ G @ c))
-        rhs = float(np.real(np.conj(c) @ mu_hat @ c))
-        gaps[t] = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+    # one transform of the distinct |d|; mu real, so mu_hat(-d) = conj mu_hat(d)
+    dist, fold = np.unique(np.abs(diffs), return_inverse=True)
+    folded = bochner_transform(mu, dist)[fold]
+    mu_hat = np.where(diffs < 0, folded.conj(), folded)[inverse]
+    # trial t draws its n real parts, then its n imaginary parts
+    z = np.random.default_rng(0).standard_normal((trials, 2, n))
+    c = z[:, 0] + 1j * z[:, 1]
+    form = lambda M: ((c.conj() @ M) * c).sum(axis=1).real
+    lhs = form(G)
+    gaps = np.abs(lhs - form(mu_hat)) / np.maximum(np.abs(lhs), 1e-300)
     return IsometryReport(bool(np.all(gaps < tol)), float(np.max(gaps)),
                           gaps, True)

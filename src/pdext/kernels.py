@@ -18,6 +18,7 @@ under which every built-in measure reproduces its kernel on (-a, a).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -25,7 +26,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quadrature import bracketed_roots, exp_kernel_apply, simpson
+from .quadrature import (_BLOCK_ENTRIES, bracketed_roots, exp_kernel_apply, simpson,
+                         simpson_weights)
 
 EPS_PSD = 1e-9
 
@@ -49,6 +51,16 @@ def simpson_grid(grid) -> np.ndarray:
     if len(h) and np.max(h) - np.min(h) > 1e-9 * np.mean(h):
         raise DomainError("grid is not uniform")
     return grid
+
+
+def mirrored_linspace(L: float, n: int) -> np.ndarray:
+    """np.linspace(-L, L, n) (n odd) with its negative half mirrored onto
+    the positive one and 0 in the middle: exactly symmetric, as
+    ``SpectralMeasure.fourier_rule`` needs to fold, with linspace's grid[0]
+    and grid[1], so Simpson's step is unchanged."""
+    neg = np.linspace(-L, L, n)[:n // 2 + 1]
+    neg[-1] = 0.0
+    return np.concatenate([neg, -neg[-2::-1]])
 
 
 def bspline_autoconvolution(k: int, u) -> np.ndarray:
@@ -160,9 +172,32 @@ class SpectralMeasure:
         if _has_terms(self.tail) and (len(grid) < 2 or grid[0] != -grid[-1]):
             raise DomainError("a tail past the grid needs a symmetric grid, grid[0] = -grid[-1]")
 
-    @property
+    @functools.cached_property
     def cutoff(self) -> float:
         return float(np.max(np.abs(self.grid))) if len(self.grid) else 0.0
+
+    @functools.cached_property
+    def fourier_rule(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(l, w, sine): the grid part of mu_hat(x) is sum w cos(l x), plus
+        i sum w sin(l x) when ``sine``; w is the Simpson weight (step
+        grid[1] - grid[0], trapezoid on the last cell of an even count)
+        times the density.  An exactly symmetric grid with an odd count and
+        an even density folds onto l >= 0 with doubled weights and no sine
+        sum."""
+        grid, dens = self.grid, self.density
+        n = len(grid)
+        h = grid[1] - grid[0]
+        if n % 2:
+            w = simpson_weights(n, h) * dens
+        else:
+            w = np.append(simpson_weights(n - 1, h), 0.0)
+            w[-2:] += 0.5 * h
+            w *= dens
+        if n % 2 and np.array_equal(grid, -grid[::-1]) and np.array_equal(dens, dens[::-1]):
+            half = w[n // 2:] * 2.0
+            half[0] = w[n // 2]
+            return grid[n // 2:], half, False
+        return grid, w, True
 
     def tail_mass(self) -> float:
         return _tail_fourier(self, 0.0)
@@ -235,62 +270,101 @@ def _power_integrals(b: np.ndarray, L: float, n_max: int) -> tuple[np.ndarray, n
     y = b * L
     E = np.zeros((n_max + 1, len(b)), dtype=complex)
     up = (b <= 1.0) | (y <= n_max)
+    # each recursion on the columns it serves, scattered into E once
     yu = y[up]
+    Eu = np.zeros((n_max + 1, len(yu)), dtype=complex)
     si, ci = sici(np.where(yu > 0, yu, 1.0))
-    E[1, up] = np.where(yu > 0, -ci + 1j * (0.5 * np.pi - si), 0.0)
+    Eu[1] = np.where(yu > 0, -ci + 1j * (0.5 * np.pi - si), 0.0)
+    cis = np.exp(1j * yu)
     for n in range(2, n_max + 1):
-        E[n, up] = (np.exp(1j * yu) + 1j * yu * E[n - 1, up]) / (n - 1)
+        Eu[n] = (cis + 1j * yu * Eu[n - 1]) / (n - 1)
+    E[:, up] = Eu
     yd = y[~up]
-    E[n_max, ~up] = _expint_cf(n_max, -1j * yd)
+    Ed = np.zeros((n_max + 1, len(yd)), dtype=complex)
+    Ed[n_max] = _expint_cf(n_max, -1j * yd)
+    cis = np.exp(1j * yd)
     for n in range(n_max, 1, -1):
-        E[n - 1, ~up] = (np.exp(1j * yd) - (n - 1) * E[n, ~up]) / (-1j * yd)
+        Ed[n - 1] = (cis - (n - 1) * Ed[n]) / (-1j * yd)
+    E[:, ~up] = Ed
     scale = L ** (1.0 - np.arange(n_max + 1))[:, None]
     return scale * E.real, scale * E.imag
 
 
-def _closed_form_tail(tail: TailDescriptor, L: float, x: float) -> float:
-    """int_{|l| > L} e^{i l x} density(l) dl for a tail's terms, real since
-    the tail is even: c cos(w l) |l|^{-p} gives c [J_p(|x - w|) + J_p(|x + w|)],
-    s sin(w |l|) |l|^{-p} gives s [K_p(w + x) + K_p(w - x)], K_p being odd;
-    one ``sici`` call over the distinct |b|."""
+def _closed_form_tail(tail: TailDescriptor, L: float, x: np.ndarray) -> np.ndarray:
+    """int_{|l| > L} e^{i l x} density(l) dl for a tail's terms at each x of
+    a 1-d array, real since the tail is even: c cos(w l) |l|^{-p} gives
+    c [J_p(|x - w|) + J_p(|x + w|)], s sin(w |l|) |l|^{-p} gives
+    s [K_p(w + x) + K_p(w - x)], K_p being odd; one ``sici`` call over the
+    distinct |b| of all x."""
     c, w, p = (np.array(v) for v in zip(*(tail.terms + tail.sine_terms)))
     n = len(tail.terms)
-    signed = np.concatenate([x - w[:n], x + w[:n], w[n:] + x, w[n:] - x])
+    col = x[:, None]
+    signed = np.concatenate([col - w[:n], col + w[:n], w[n:] + col, w[n:] - col], axis=1)
     b, inverse = np.unique(np.abs(signed), return_inverse=True)
+    inverse = inverse.reshape(signed.shape)
     J, K = _power_integrals(b, L, int(p.max()))
     twice = lambda v: np.concatenate([v, v])
-    total = np.dot(twice(c[:n]), J[twice(p[:n]), inverse[:2 * n]])
+    total = J[twice(p[:n]), inverse[:, :2 * n]] @ twice(c[:n])
     if tail.sine_terms:
-        total += np.dot(twice(c[n:]) * np.sign(signed[2 * n:]), K[twice(p[n:]), inverse[2 * n:]])
-    return float(total)
+        total += (np.sign(signed[:, 2 * n:]) * K[twice(p[n:]), inverse[:, 2 * n:]]) @ twice(c[n:])
+    return total
 
 
 def _has_terms(tail: Optional[TailDescriptor]) -> bool:
     return tail is not None and bool(tail.terms or tail.sine_terms)
 
 
-def _tail_fourier(measure: SpectralMeasure, x: float) -> float:
+def _tail_fourier(measure: SpectralMeasure, x):
     """int_{|l| > L} e^{i l x} density(l) dl past the cutoff L: the closed
     form of a declared tail's terms, 0 for ``TailDescriptor.none()`` and
-    for ``tail=None``."""
-    return _closed_form_tail(measure.tail, measure.cutoff, x) if _has_terms(measure.tail) else 0.0
+    for ``tail=None``; a float for a scalar x, an array of its shape
+    otherwise."""
+    x = np.asarray(x, dtype=float)
+    if not _has_terms(measure.tail):
+        return 0.0 if x.ndim == 0 else np.zeros(x.shape)
+    out = _closed_form_tail(measure.tail, measure.cutoff, x.ravel()).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
-def bochner_transform(measure: SpectralMeasure, x: float) -> complex:
-    """mu_hat(x) = int e^{i l x} dmu(l) at a finite x (DomainError
-    otherwise); atoms summed exactly, grid density by Simpson, the density
-    past the cutoff by ``_tail_fourier`` in closed form.  No path uses
-    QUADPACK.  ``total_mass`` is mu_hat(0)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"bochner_transform needs a finite x, got {x!r}")
-    total = 0.0 + 0.0j
+def _trig_sum(trig, l: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k w_k trig(l_k x_i) for each x_i of a 1-d array, trig(l x) formed
+    for about _BLOCK_ENTRIES (x, l) pairs at a time, each row reduced in
+    np.sum's pairwise order, so that at x = 0 the cosine sum over a whole
+    grid is ``simpson`` of the density bit for bit."""
+    rows = max(1, _BLOCK_ENTRIES // max(1, len(l)))
+    parts = []
+    for i in range(0, max(1, len(x)), rows):
+        block = np.outer(x[i:i + rows], l)
+        trig(block, out=block)
+        block *= w
+        parts.append(block.sum(axis=1))
+    return np.concatenate(parts)
+
+
+def bochner_transform(measure: SpectralMeasure, x):
+    """mu_hat(x) = int e^{i l x} dmu(l) at a finite x or an array of them
+    (DomainError otherwise): a complex number for a scalar x, a complex
+    array of the shape of x otherwise.  The grid density goes by Simpson as
+    the real sums of ``fourier_rule`` -- one cosine sum over l >= 0 for an
+    even density on a symmetric grid, a cosine and a sine sum over the grid
+    otherwise -- the atoms exactly, and the density past the cutoff by
+    ``_tail_fourier`` in closed form, every part for all x at once.  No
+    path uses QUADPACK.  ``total_mass`` is mu_hat(0)."""
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise DomainError(f"bochner_transform needs a finite x, got {xs.tolist()!r}")
+    flat = xs.ravel()
+    total = np.zeros(flat.shape, dtype=complex)
     if len(measure.grid) > 1:
-        total += simpson(measure.density * np.exp(1j * measure.grid * x), measure.grid)
-    for loc, w in measure.atoms:
-        total += w * np.exp(1j * loc * x)
-    total += _tail_fourier(measure, x)
-    return complex(total)
+        l, w, sine = measure.fourier_rule
+        total += _trig_sum(np.cos, l, w, flat)
+        if sine:
+            total += 1j * _trig_sum(np.sin, l, w, flat)
+    if measure.atoms:
+        locs, weights = np.array(measure.atoms).T
+        total += np.exp(1j * np.outer(flat, locs)) @ weights
+    total += _tail_fourier(measure, flat)
+    return complex(total[0]) if xs.ndim == 0 else total.reshape(xs.shape)
 
 
 @dataclass(frozen=True)
@@ -664,7 +738,7 @@ class PdKernel:
 
 
 def _cauchy_measure() -> SpectralMeasure:
-    grid = np.linspace(-200.0, 200.0, 20001)
+    grid = mirrored_linspace(200.0, 20001)
     # 1/(pi(1 + l^2)) = sum_i (-1)^i l^{-2-2i} / pi for |l| > 1; past l = 200
     # the terms after the sixth are below 2.5e-5^6 relative
     tail = TailDescriptor.from_terms(((-1.0) ** i / np.pi, 0.0, 2 + 2 * i) for i in range(6))
@@ -685,8 +759,7 @@ def exp_kernel() -> PdKernel:
 
 def triangle_kernel() -> PdKernel:
     """F(x) = 1 - |x| on (-1/2, 1/2); frequency density (1/2pi) sinc^2(l/2pi)."""
-    L = 80.0 * np.pi
-    grid = np.linspace(-L, L, 60001)
+    grid = mirrored_linspace(80.0 * np.pi, 60001)
     # (1/2pi) sinc^2(l/2pi) = (1 - cos l) / (pi l^2)
     tail = TailDescriptor.from_terms(((1.0 / np.pi, 0.0, 2), (-1.0 / np.pi, 1.0, 2)))
     meas = SpectralMeasure(grid, np.sinc(grid / (2.0 * np.pi)) ** 2 / (2.0 * np.pi), tail=tail)
@@ -713,9 +786,9 @@ def bspline_kernel(k: int, half_width: float = 1.0) -> PdKernel:
     if k < 1:
         raise DomainError("k must be >= 1")
     dens = lambda l: bspline_autoconvolution(k, np.asarray(l) / (2.0 * np.pi)) / (2.0 * np.pi)
-    L = k * np.pi
-    grid = np.linspace(-L, L, 4001)
-    meas = SpectralMeasure(grid, dens(grid), tail=TailDescriptor.none())
+    grid = mirrored_linspace(k * np.pi, 4001)
+    # read at |l|, so the density is exactly even and its transform folds
+    meas = SpectralMeasure(grid, dens(np.abs(grid)), tail=TailDescriptor.none())
 
     def ev(x):
         return np.sinc(x) ** k
@@ -791,6 +864,17 @@ def tabulated_kernel(x: Sequence[float], F: Sequence[float],
     x = np.asarray(x, dtype=float)
     F = np.asarray(F, dtype=float)
     dF = np.asarray(dF, dtype=float)
+    # rows counted from 1 over the table's data rows
+    finite = np.isfinite(x) & np.isfinite(F) & np.isfinite(dF)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise DomainError(f"table row {i + 1}: x, F(x), F'(x) = {x[i]}, {F[i]}, {dF[i]} "
+                          "must be finite")
+    rising = np.diff(x) > 0
+    if not np.all(rising):
+        i = int(np.argmin(rising)) + 1
+        raise DomainError(f"table row {i + 1}: x = {x[i]} must exceed the x = {x[i - 1]} "
+                          "of the row before")
     if len(x) < 2 or x[0] != 0.0:
         raise DomainError("a table needs two or more rows and must start at x = 0")
     if F[0] <= 0:

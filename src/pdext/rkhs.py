@@ -170,13 +170,28 @@ def lattice_fourier(f: Callable, lambdas) -> np.ndarray:
     GL_POINTS P.  Time is O(len(lambdas) P); lam is taken _BLOCK_ENTRIES / P
     at a time, so memory stays O(P + _BLOCK_ENTRIES)."""
     lambdas = np.asarray(lambdas, dtype=float)
-    P = resolving_panels(lambdas)
-    B = 1 << (P.bit_length() - 1) // 2
+    _, fw, s = _panel_samples(f, resolving_panels(lambdas))
+    return _lattice_sum(fw, s, lambdas)
+
+
+def _panel_samples(f: Callable, P: int):
+    """The GL_POINTS-point rule on P panels of [0, 1]: nodes y[p, q] =
+    (p + s_q)/P, the samples f(y) times the weights, both of shape
+    (P, GL_POINTS), and the offsets s in [0, 1]."""
     t, wq = gl_rule(GL_POINTS)
     s = 0.5 * (1.0 + t)
-    y = ((np.arange(P)[:, None] + s) / P).ravel()
-    fw = np.asarray(f(y)) * np.tile(0.5 * wq / P, P)
-    v = fw.reshape(P // B, B, GL_POINTS).transpose(1, 0, 2).reshape(B, -1)   # v[beta, (alpha, q)]
+    y = (np.arange(P)[:, None] + s) / P
+    fw = np.asarray(f(y.ravel())) * np.tile(0.5 * wq / P, P)
+    return y, fw.reshape(P, GL_POINTS), s
+
+
+def _lattice_sum(fw: np.ndarray, s: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """sum_{p, q} fw[p, q] e^{-i lam (p + s_q)/P} for every lam, factored
+    over the panel lattice as ``lattice_fourier`` describes."""
+    P = len(fw)
+    B = 1 << (P.bit_length() - 1) // 2
+    # v[beta, (alpha, q)], complex once rather than inside every product
+    v = fw.reshape(P // B, B, GL_POINTS).transpose(1, 0, 2).reshape(B, -1).astype(complex)
 
     def block(lam):
         phase = lambda steps: np.exp(-1j * np.outer(lam, steps / P))
@@ -187,6 +202,54 @@ def lattice_fourier(f: Callable, lambdas) -> np.ndarray:
     rows = max(1, _BLOCK_ENTRIES // P)
     return np.concatenate([block(lambdas[i:i + rows])
                            for i in range(0, max(1, len(lambdas)), rows)])
+
+
+# |eps| = |lam - shift - 2 pi j| up to which shifted_lattice_fourier sums the
+# FFT series; 2/64 covers Lambda_theta past |lam| = 64, where |eps| <= 2/|lam|
+LATTICE_EPS = 2.0 / 64.0
+# terms of the series: the smallest K with LATTICE_EPS^K / K! <= eps
+_SERIES_TERMS = next(K for K in range(1, 64)
+                     if LATTICE_EPS ** K / math.factorial(K) <= np.finfo(float).eps)
+
+
+def shifted_lattice_fourier(f: Callable, lambdas, shift: float) -> np.ndarray:
+    """``lattice_fourier(f, lambdas)``, on the same nodes, for lam near the
+    lattice shift + 2 pi Z.  With lam = shift + 2 pi j + eps and node
+    y = (p + s_q)/P,
+
+        phihat(lam) = sum_k (-i eps)^k / k! sum_q e^{-2 pi i j s_q/P}
+                      FFT_p[fw y^k e^{-i shift y}](j mod P),
+
+    fw the weighted samples: GL_POINTS FFTs of length P per term k, and
+    O(GL_POINTS) work per lam.  The series runs to _SERIES_TERMS, so its
+    remainder is below eps int|f| for |eps| <= LATTICE_EPS; the other lam
+    go to the lattice-factored sum.  Time is O(P log P + len(lambdas))
+    plus O(P) per lam off the lattice."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    P = resolving_panels(lambdas)
+    y, fw, s = _panel_samples(f, P)
+    j = np.round((lambdas - shift) / (2.0 * math.pi))
+    eps = (lambdas - shift) - 2.0 * math.pi * j
+    near = np.abs(eps) <= LATTICE_EPS
+    out = np.empty(len(lambdas), dtype=complex)
+    out[~near] = _lattice_sum(fw, s, lambdas[~near])
+    if not np.any(near):
+        return out
+    j, eps = j[near].astype(int), eps[near]
+    phase, rows = np.exp(-2j * math.pi * np.outer(s, j) / P), j % P   # [q, lam]
+    # rows q of fw e^{-i shift y}, e^{-i shift y} factored as panel x offset
+    g = (fw * np.exp(-1j * shift / P * np.arange(P))[:, None]
+         * np.exp(-1j * shift / P * s)).T.copy()
+    yq = y.T.copy()
+    sums = []
+    for _ in range(_SERIES_TERMS):
+        sums.append(np.einsum("qm,qm->m", np.fft.fft(g)[:, rows], phase))
+        g *= yq
+    total = sums[-1]
+    for k in range(_SERIES_TERMS - 1, 0, -1):           # Horner in -i eps
+        total = sums[k - 1] + (-1j * eps / k) * total
+    out[near] = total
+    return out
 
 
 # ---------------------------------------------------------------------------

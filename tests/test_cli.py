@@ -214,6 +214,18 @@ class TestMomentsCmd:
         run(["moments", "--kernels", f"table:{table}", "--out", str(out)])
         assert "indeterminate" in out.read_text()
 
+    @pytest.mark.parametrize("rows, detail", [
+        ("0,1,0\n0.5,0.8,-0.5\n0.4,0.7,-0.5\n", "table row 3: x = 0.4 must exceed"),
+        ("0,1,0\n0.5,nan,-0.5\n0.6,0.7,-0.5\n", "table row 2: x, F(x), F'(x) = 0.5, nan"),
+    ])
+    def test_table_not_increasing_or_not_finite_is_a_domain_error(self, tmp_path, capsys,
+                                                                  rows, detail):
+        table = tmp_path / "t.csv"
+        table.write_text("x,F,dF\n" + rows)
+        assert run(["moments", "--kernels", f"table:{table}"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "DomainError" and detail in payload["detail"]
+
 
 class TestConcentrationCmd:
     def test_delta(self, tmp_path):

@@ -331,6 +331,28 @@ class TestDiscreteIsometry:
         assert rep.passed and rep.psd_ok
         assert rep.max_gap < 1e-14
 
+    def test_report_equals_a_loop_over_the_trials(self, kexp):
+        # a measure other than F's, so that every gap depends on its c
+        mu = SpectralMeasure(np.array([]), np.array([]),
+                             atoms=((-3.0, 0.25), (1.0, 0.5), (3.0, 0.25)))
+        S = np.array([0.0, 0.15, 0.4, 0.9])
+        F = lambda t: float(kexp(t))
+        rep = discrete_isometry_check(S, F, mu, trials=100, tol=1e-6)
+        D = S[:, None] - S[None, :]
+        G = np.array([[F(d) for d in row] for row in D], dtype=complex)
+        mu_hat = np.array([[bochner_transform(mu, d) for d in row] for row in D])
+        rng = np.random.default_rng(0)
+        gaps = []
+        for _ in range(100):
+            c = rng.standard_normal(len(S)) + 1j * rng.standard_normal(len(S))
+            lhs = float(np.real(np.conj(c) @ G @ c))
+            rhs = float(np.real(np.conj(c) @ mu_hat @ c))
+            gaps.append(abs(lhs - rhs) / max(abs(lhs), 1e-300))
+        assert np.ptp(gaps) > 0.1
+        assert np.max(np.abs(rep.gaps - gaps)) <= 1e-13 * np.max(gaps)
+        assert (rep.passed, rep.psd_ok) == (False, True)
+        assert rep.max_gap == pytest.approx(max(gaps), rel=1e-13)
+
 
 class TestOpenQuestionDiagnostics:
     def test_no_sampled_theta_gives_the_trivial_extension(self):
